@@ -181,6 +181,21 @@ def _log_comb(n: int, m: int) -> float:
     return math.log(math.comb(n, m))
 
 
+@functools.lru_cache(maxsize=64)
+def _log_comb_row(n: int, a: int) -> tuple[float, ...]:
+    """(log C(n, 0), ..., log C(n, a-1)), each the log of the exact integer.
+
+    The recurrence C(n, m+1) = C(n, m) * (n - m) // (m + 1) divides exactly,
+    so every entry equals _log_comb(n, m).
+    """
+    logs = []
+    c = 1
+    for m in range(a):
+        logs.append(math.log(c))
+        c = c * (n - m) // (m + 1)
+    return tuple(logs)
+
+
 def _log_sum_exp(logs) -> float:
     top = max(logs)
     return top + math.log(math.fsum(math.exp(v - top) for v in logs))
@@ -385,7 +400,8 @@ def fa_closed_form_log(gamma: float, k: int, l: int, n_r: int, n_t: int) -> floa
     a = k * n_r * n_t
     log_g = math.log(gamma)
     log_1mg = math.log1p(-gamma)
-    return _log_sum_exp([_log_comb(n, m) + m * log_g + (n - m) * log_1mg for m in range(a)])
+    return _log_sum_exp([log_c + m * log_g + (n - m) * log_1mg
+                         for m, log_c in enumerate(_log_comb_row(n, a))])
 
 
 def fa_closed_form(gamma: float, k: int, l: int, n_r: int, n_t: int) -> float:

@@ -338,6 +338,13 @@ def _cmd_simulate(args) -> int:
 # ===== Entry point =====
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omnisync",
@@ -386,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="path to an experiment JSON, or the preset name 'paper-sec6'")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dry-run", action="store_true",
                    help="validate the config and write only the run manifest")
     p.set_defaults(func=_cmd_simulate)

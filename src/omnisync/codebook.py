@@ -330,7 +330,9 @@ def build_omni_codebook(
         return mats
 
     w = assemble(m_t, n_t, schedule_t)
-    f = assemble(m_r, n_r, schedule_r)
+    # A square design's sides are the same frozen matrices, built once.
+    same = (m_r, n_r, schedule_r) == (m_t, n_t, schedule_t)
+    f = w if same else assemble(m_r, n_r, schedule_r)
     return Codebook(k=k, w=tuple(w), f=tuple(f), design="omni-golay",
                     schedule_t=schedule_t, schedule_r=schedule_r)
 
@@ -468,6 +470,10 @@ class AngleGrid:
 def beam_pattern(w: np.ndarray, grid: AngleGrid) -> np.ndarray:
     """Beam pattern v(theta)^H W W^H v(theta) on the grid.
 
+    At theta = g/G the projection v(theta)^H w is the G-point DFT of w, so
+    each column costs one zero-padded FFT.  When M > G the steering entries
+    repeat with period G in m, so rows m = i (mod G) are summed first.
+
     Args:
       w: complex matrix, one beamformer column per stream.
       grid: evaluation angles.
@@ -478,11 +484,12 @@ def beam_pattern(w: np.ndarray, grid: AngleGrid) -> np.ndarray:
     w = np.asarray(w)
     if w.ndim == 1:
         w = w.reshape(-1, 1)
-    m = w.shape[0]
-    phases = np.outer(grid.points, np.arange(m))
-    steering = np.exp(2j * np.pi * phases)
-    projected = steering.conj() @ w
-    return np.sum(np.abs(projected) ** 2, axis=1)
+    m, g = w.shape[0], grid.g
+    if m > g:
+        w = np.concatenate([w, np.zeros((-m % g, w.shape[1]), dtype=w.dtype)])
+        w = w.reshape(-1, g, w.shape[1]).sum(axis=0)
+    projected = np.fft.fft(w, n=g, axis=0)
+    return np.sum(projected.real ** 2 + projected.imag ** 2, axis=1)
 
 
 # ===== Verification =====
@@ -635,10 +642,3 @@ def pattern_csv_rows(cb: Codebook, grid: AngleGrid | None = None):
             pattern = beam_pattern(mat, grid)
             for theta, power in zip(grid.points, pattern):
                 yield float(theta), slot + 1, side, float(power)
-
-
-def write_pattern_csv(cb: Codebook, path: str, grid: AngleGrid | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,slot,side,power\n")
-        for theta, slot, side, power in pattern_csv_rows(cb, grid):
-            fh.write(f"{theta!r},{slot},{side},{power!r}\n")

@@ -134,7 +134,9 @@ def experiment_codebook(config: ExperimentConfig) -> Codebook:
 
 
 def _map_drops(task, drops: int, workers: int) -> list:
-    if workers <= 1 or drops <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1 or drops <= 1:
         return [task(d) for d in range(drops)]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, drops)) as pool:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from omnisync.analysis import (
+    _log_comb,
+    _log_comb_row,
     GeneralizedFRatio,
     asymptotic_md,
     build_R_general,
@@ -344,6 +346,11 @@ def test_fa_closed_form_matches_binomial_oracle(k, l, n_r, n_t, gamma):
     got = fa_closed_form(gamma, k, l, n_r, n_t)
     want = binomial_tail_oracle(gamma, k, l, n_r, n_t)
     assert abs(got - want) <= 1e-10 * want, f"fa {got!r} vs oracle {want!r}"
+
+
+@pytest.mark.parametrize("n,a", [(16383, 256), (127, 4)])
+def test_log_comb_row_is_exact(n, a):
+    assert list(_log_comb_row(n, a)) == [_log_comb(n, m) for m in range(a)]
 
 
 def test_fa_closed_form_monotone_and_edged():

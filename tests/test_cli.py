@@ -220,6 +220,19 @@ def test_simulate_reports_every_schema_violation(tmp_path, capsys):
     assert not (tmp_path / "run.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_simulate_rejects_workers_below_one(tmp_path, capsys, workers):
+    config_path = tmp_path / "exp.json"
+    write_config(config_path)
+    out = tmp_path / "run.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--config", str(config_path), "--out", str(out),
+                "--workers", workers)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_paper_sec6_preset_dry_run(tmp_path):
     out = tmp_path / "sec6.csv"
     assert run_cli("simulate", "--config", "paper-sec6", "--out", str(out),

@@ -33,6 +33,23 @@ from omnisync.codebook import (
 )
 
 
+def dense_pattern_oracle(w, grid, chunk=512):
+    """Beam pattern from the dense steering matrix, a chunk of angles at a time.
+
+    Each row is v(theta)^H W W^H v(theta) with v(theta)_m = exp(j*2*pi*m*theta),
+    evaluated directly, so it checks the FFT route in beam_pattern.
+    """
+    w = np.asarray(w)
+    if w.ndim == 1:
+        w = w.reshape(-1, 1)
+    antennas = np.arange(w.shape[0])
+    out = []
+    for start in range(0, grid.g, chunk):
+        steering = np.exp(2j * np.pi * np.outer(grid.points[start:start + chunk], antennas))
+        out.append(np.sum(np.abs(steering.conj() @ w) ** 2, axis=1))
+    return np.concatenate(out)
+
+
 def acf_oracle(seq):
     """Aperiodic autocorrelation lags 0..M-1 via np.correlate, exact int64."""
     s = np.asarray(seq, dtype=np.int64)
@@ -150,6 +167,38 @@ def test_beam_pattern_accepts_vectors():
     assert np.allclose(flat, 1.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("m", [1, 2, 8, 13, 64])
+@pytest.mark.parametrize("cols", [None, 1, 3])
+def test_beam_pattern_matches_dense_oracle(m, cols):
+    rng = np.random.default_rng(1000 * m + (cols or 0))
+    shape = (m,) if cols is None else (m, cols)
+    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(m)
+    # G = 7 folds every M > 7 onto the grid; G = M and G >= 2M zero-pad.
+    for g in sorted({7, m, 2 * m, 4 * m + 3}):
+        grid = AngleGrid(g)
+        got = beam_pattern(w, grid)
+        assert got.shape == (g,)
+        assert np.max(np.abs(got - dense_pattern_oracle(w, grid))) <= 1e-12, f"G={g}"
+
+
+@pytest.mark.parametrize("design", ["quasi-omni-zc", "dft-sweep", "random-phase"])
+@pytest.mark.parametrize("g", [7, 64, 16384])
+def test_beam_pattern_matches_dense_oracle_on_designs(design, g):
+    cb = build_approach_codebook(design, 64, 1, 16, 2, 2, seed=3)
+    grid = AngleGrid(g)
+    for mat in cb.w + cb.f:
+        assert np.max(np.abs(beam_pattern(mat, grid) - dense_pattern_oracle(mat, grid))) <= 1e-12
+
+
+def test_beam_pattern_matches_dense_oracle_at_m1024():
+    cb = build_omni_codebook(1024, 2, 1024, 2, 8)
+    grid = AngleGrid(8192)
+    for wk in (cb.w[0], cb.w[-1]):
+        got = beam_pattern(wk, grid)
+        assert np.max(np.abs(got - dense_pattern_oracle(wk, grid))) <= 1e-11
+        assert np.max(np.abs(got - 2.0)) <= 1e-14
+
+
 def test_angle_grid_points_and_nyquist():
     grid = AngleGrid(32)
     assert grid.points[0] == 0.0
@@ -190,6 +239,22 @@ def test_omni_codebook_honors_custom_schedule():
     gh = golay_hadamard(16).entries / np.sqrt(16)
     assert np.allclose(cb.w[0], gh[:, [2, 10]])
     assert np.allclose(cb.w[1], gh[:, [6, 14]])
+
+
+def test_omni_codebook_square_design_shares_sides():
+    cb = build_omni_codebook(16, 2, 16, 2, 3)
+    separate = build_omni_codebook(16, 2, 8, 2, 3).w
+    for k in range(cb.k):
+        assert cb.f[k] is cb.w[k]
+        assert np.array_equal(cb.f[k], separate[k])
+    unshared = Codebook(k=cb.k, w=cb.w, f=tuple(np.array(m) for m in separate),
+                        design=cb.design, schedule_t=cb.schedule_t, schedule_r=cb.schedule_r)
+    assert codebook_to_json(cb) == codebook_to_json(unshared)
+    restored = codebook_from_json(codebook_to_json(cb))
+    for a, b in zip(cb.w + cb.f, restored.w + restored.f):
+        assert np.array_equal(a, b)
+    other = build_omni_codebook(16, 2, 16, 2, 3, schedule_r=SlotSchedule(((2,), (3,), (4,))))
+    assert not np.array_equal(other.f[0], other.w[0])
 
 
 def test_omni_codebook_rejects_out_of_range_base_index():

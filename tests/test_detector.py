@@ -172,6 +172,21 @@ def test_threshold_frozen_desk_point():
     assert abs(fa_closed_form(gamma, 1, 64, 2, 2) - 1e-2) <= 1e-12
 
 
+# Bisection output, pinned to the last bit: the paper-sec6 shape (1, 64, 2, 2)
+# and the large calibration shape (16, 256, 4, 4), one target per decade.
+@pytest.mark.parametrize("pfa,shape,want", [
+    (1e-4, (1, 64, 2, 2), "0.11911161206682172"),
+    (1e-1, (16, 256, 4, 4), "0.01687865974124378"),
+    (1e-2, (16, 256, 4, 4), "0.01796540747312278"),
+    (1e-3, (16, 256, 4, 4), "0.018787936520624077"),
+    (1e-4, (16, 256, 4, 4), "0.019482879630437405"),
+    (1e-5, (16, 256, 4, 4), "0.020099373472097642"),
+    (1e-6, (16, 256, 4, 4), "0.0206615554315194"),
+])
+def test_threshold_frozen_bits(pfa, shape, want):
+    assert repr(threshold_from_fa(pfa, *shape)) == want
+
+
 def test_threshold_exact_binomial_midpoint():
     # K=1, L=2, N_r=N_t=1: FA(gamma) = 1 - gamma, so the 0.5 target is exact.
     assert abs(threshold_from_fa(0.5, 1, 2, 1, 1) - 0.5) <= 1e-12

@@ -253,6 +253,15 @@ def test_worker_count_does_not_change_results():
     assert fa_serial == fa_pool
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_is_rejected(workers):
+    config = make_config(drops=2, frames_per_drop=10)
+    with pytest.raises(ValueError, match="workers"):
+        run_md_reduced(config, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        estimate_fa(config, workers=workers)
+
+
 def test_results_csv_formatting(tmp_path):
     rows = [row_for(0.0, 0.5),
             ResultRow(approach="dft-sweep", k=8, snr_db=-2.5, gamma=0.25,
