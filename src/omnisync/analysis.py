@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathSet, steering
+from .channel import PathSet
 from .codebook import Codebook
 
 HERMITIAN_TOL = 1e-10
@@ -92,16 +92,20 @@ def covariance_from_eigenvalues(eigs, model_tag: str = "eigs") -> EffectiveCovar
 # ===== Effective covariance builders =====
 
 
-def _path_vectors(codebook: Codebook, theta_r: float, theta_t: float) -> list[np.ndarray]:
-    """Per-slot mean direction a_k = (W_k^T v*) kron (F_k^H u), length N_t*N_r."""
-    u = steering(theta_r, codebook.m_r)
-    v = steering(theta_t, codebook.m_t)
-    out = []
-    for wk, fk in zip(codebook.w, codebook.f):
-        tx = wk.T @ v.conj()
-        rx = fk.conj().T @ u
-        out.append(np.kron(tx, rx))
-    return out
+def _path_vectors(codebook: Codebook, theta_r, theta_t) -> np.ndarray:
+    """Slot-major path vectors, one column per path.
+
+    Column p stacks a_kp = (W_k^T v_p*) kron (F_k^H u_p) over the slots k,
+    so the result has shape (K*N_t*N_r, P) for P angle pairs.
+    """
+    theta_r = np.atleast_1d(np.asarray(theta_r, dtype=np.float64))
+    theta_t = np.atleast_1d(np.asarray(theta_t, dtype=np.float64))
+    u = np.exp((2j * np.pi * theta_r)[None, :] * np.arange(codebook.m_r)[:, None])
+    v = np.exp((2j * np.pi * theta_t)[None, :] * np.arange(codebook.m_t)[:, None])
+    tx = np.stack(codebook.w).swapaxes(1, 2) @ v.conj()
+    rx = np.stack(codebook.f).conj().swapaxes(1, 2) @ u
+    a = tx[:, :, None, :] * rx[:, None, :, :]
+    return a.reshape(-1, theta_r.shape[0])
 
 
 def build_R_general(codebook: Codebook, paths: PathSet, beta, psi: np.ndarray) -> EffectiveCovariance:
@@ -110,16 +114,9 @@ def build_R_general(codebook: Codebook, paths: PathSet, beta, psi: np.ndarray) -
     Block (k, l) is psi[k, l] * sum_p beta_p * a_kp a_lp^H with a_kp the
     per-slot mean direction of path p.
     """
-    k = codebook.k
     q0 = codebook.n_t * codebook.n_r
-    beta = np.asarray(beta, dtype=np.float64)
-    r = np.zeros((k * q0, k * q0), dtype=np.complex128)
-    for p in range(beta.shape[0]):
-        a = _path_vectors(codebook, float(paths.theta_r[p]), float(paths.theta_t[p]))
-        for i in range(k):
-            for j in range(k):
-                r[i * q0:(i + 1) * q0, j * q0:(j + 1) * q0] += (
-                    psi[i, j] * beta[p] * np.outer(a[i], a[j].conj()))
+    a = _path_vectors(codebook, paths.theta_r, paths.theta_t)
+    r = np.kron(psi, np.ones((q0, q0))) * ((a * np.asarray(beta, dtype=np.float64)) @ a.conj().T)
     return _make_covariance(r, "general")
 
 
@@ -133,16 +130,28 @@ def build_R_single_path(
     omni-golay, a_k^H a_k = N_r * N_t at every angle, so the spectrum does
     not depend on the path direction.
     """
-    a = _path_vectors(codebook, theta_r, theta_t)
-    k = codebook.k
     q0 = codebook.n_t * codebook.n_r
-    r = np.zeros((k * q0, k * q0), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            r[i * q0:(i + 1) * q0, j * q0:(j + 1) * q0] = psi[i, j] * np.outer(a[i], a[j].conj())
-    norms = np.array([float(np.real(np.vdot(ak, ak))) for ak in a])
+    a = _path_vectors(codebook, theta_r, theta_t)
+    norms = np.sum(np.abs(a.reshape(codebook.k, q0)) ** 2, axis=1)
     reduced = psi * norms[None, :]
+    r = np.kron(psi, np.ones((q0, q0))) * (a @ a.conj().T)
     return _make_covariance(r, "single-path"), reduced
+
+
+def path_factor(codebook: Codebook, paths: PathSet, beta, sqrt_psi: np.ndarray) -> np.ndarray:
+    """Explicit factor S of the P-path effective covariance, S S^H = R.
+
+    S = [sqrt(beta_p) * diag(a_p) * (sqrt_psi kron 1_q0)]_p has shape
+    (K*N_t*N_r, P*K), with a_p the slot-major path vector of path p and
+    sqrt_psi a K x K factor of the slot correlation (sqrt_psi sqrt_psi^T =
+    psi).  Rank-deficient psi needs no special case: its zero directions
+    are zero columns of S.
+    """
+    q0 = codebook.n_t * codebook.n_r
+    a = _path_vectors(codebook, paths.theta_r, paths.theta_t)
+    a = a * np.sqrt(np.asarray(beta, dtype=np.float64))
+    rows = np.repeat(sqrt_psi, q0, axis=0)
+    return (a[:, :, None] * rows[:, None, :]).reshape(a.shape[0], -1)
 
 
 def build_R_iid(codebook: Codebook, psi: np.ndarray) -> EffectiveCovariance:

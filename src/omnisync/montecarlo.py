@@ -16,7 +16,6 @@ the detector arithmetic.  Both share the pooling and determinism contract.
 
 from __future__ import annotations
 
-import logging
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -26,18 +25,17 @@ import numpy as np
 
 from .analysis import (
     EffectiveCovariance,
+    _path_vectors,
     asymptotic_md,
-    build_R_general,
     build_R_iid,
     build_R_single_path,
     fa_closed_form,
     hermitian_eigenvalues,
+    path_factor,
 )
 from .channel import ChannelConfig, _complex_normal, correlation_matrix, sample_paths
 from .codebook import NAMED_DESIGNS, Codebook, build_approach_codebook
 from .detector import make_sync_signal, threshold_from_fa
-
-logger = logging.getLogger(__name__)
 
 DESK_P_FA = 1e-2
 
@@ -143,16 +141,10 @@ def _map_drops(task, drops: int, workers: int) -> list:
         return pool.map(task, range(drops), chunksize=max(1, drops // (workers * 4)))
 
 
-def _merge_counts(results, drops: int, n_points: int) -> tuple[np.ndarray, int]:
-    kept = [r for r in results if r is not None]
-    skipped = drops - len(kept)
-    if skipped:
-        logger.warning("%d of %d drops skipped after factorization failures", skipped, drops)
-    if not kept:
-        raise RuntimeError("every drop failed; no trials accumulated")
+def _merge_counts(results, n_points: int) -> tuple[np.ndarray, int]:
     counts = np.zeros(n_points, dtype=np.int64)
     trials = 0
-    for cnt, frames in kept:
+    for cnt, frames in results:
         counts += cnt
         trials += frames
     return counts, trials
@@ -222,7 +214,7 @@ class _ReducedPlan:
     t_ratio: float
     noise_vars: tuple[float, ...]
     codebook: Codebook | None
-    psi: np.ndarray | None
+    sqrt_psi: np.ndarray | None
     fixed_factor: np.ndarray | None
 
 
@@ -235,16 +227,7 @@ def _reduced_drop(plan: _ReducedPlan, drop_index: int):
         factor = plan.fixed_factor
     else:
         paths = sample_paths(cfg.channel, rng)
-        try:
-            if cfg.channel.p == 1:
-                cov, _ = build_R_single_path(
-                    plan.codebook, float(paths.theta_r[0]), float(paths.theta_t[0]), plan.psi)
-            else:
-                cov = build_R_general(plan.codebook, paths, cfg.channel.beta, plan.psi)
-            factor = _cov_factor(cov)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            logger.warning("drop %d skipped: %s", drop_index, exc)
-            return None
+        factor = path_factor(plan.codebook, paths, cfg.channel.beta, plan.sqrt_psi)
     r = factor.shape[1]
     amp_factor = math.sqrt(cfg.l / cfg.n_t) * factor
     counts = np.zeros(len(plan.noise_vars), dtype=np.int64)
@@ -274,8 +257,10 @@ def run_md_reduced(
 
     Per frame the squared noise norm in the denominator is drawn directly as
     a Gamma(K*N_r*(L-N_t)) variate; the numerator draws the signal vector
-    through the covariance factor and shares its noise draw across the SNR
-    list (common random numbers).
+    through a covariance factor and shares its noise draw across the SNR
+    list (common random numbers).  Geometric drops use the explicit factor
+    analysis.path_factor of their angles; a fixed covariance (the i.i.d.
+    model or cov_override) is factored once per run.
 
     cov_override injects a fixed effective covariance for diagnostics (e.g.
     a zero matrix turns the run into a noise-only calibration).
@@ -292,10 +277,10 @@ def run_md_reduced(
     plan = _ReducedPlan(
         config=config, t_ratio=gamma / (1.0 - gamma), noise_vars=noise_vars,
         codebook=None if fixed_cov is not None else codebook,
-        psi=None if fixed_cov is not None else corr.psi,
+        sqrt_psi=None if fixed_cov is not None else corr.sqrt_factor,
         fixed_factor=_cov_factor(fixed_cov) if fixed_cov is not None else None)
     results = _map_drops(partial(_reduced_drop, plan), config.drops, workers)
-    counts, trials = _merge_counts(results, config.drops, len(noise_vars))
+    counts, trials = _merge_counts(results, len(noise_vars))
     pred_cov = fixed_cov if cov_override is not None else _prediction_covariance(
         config, codebook, corr.psi)
     asym = _asymptotic_fill(config, gamma, noise_vars, pred_cov)
@@ -330,6 +315,13 @@ def _batch_statistic(y: np.ndarray, xc: np.ndarray, inv_xxh: np.ndarray,
     return num.sum(axis=1) / den.sum(axis=1)
 
 
+def _path_mixing(codebook: Codebook, paths) -> np.ndarray:
+    """(K, P, N_r, N_t) stack of F_k^H u_p v_p^H W_k: the path vectors a_kp
+    unstacked column-major into N_r x N_t matrices."""
+    a = _path_vectors(codebook, paths.theta_r, paths.theta_t)
+    return a.reshape(codebook.k, codebook.n_t, codebook.n_r, -1).transpose(0, 3, 2, 1)
+
+
 def _full_drop(plan: _FullPlan, drop_index: int):
     cfg = plan.config
     cb = plan.codebook
@@ -344,13 +336,7 @@ def _full_drop(plan: _FullPlan, drop_index: int):
     b_mix = None
     sqrt_beta = None
     if geometric:
-        paths = sample_paths(cfg.channel, rng)
-        u = np.stack([np.exp(2j * np.pi * t * np.arange(cfg.m_r)) for t in paths.theta_r], axis=1)
-        v = np.stack([np.exp(2j * np.pi * t * np.arange(cfg.m_t)) for t in paths.theta_t], axis=1)
-        b_mix = np.empty((cfg.k, cfg.channel.p, cfg.n_r, cfg.n_t), dtype=np.complex128)
-        for k in range(cfg.k):
-            for p in range(cfg.channel.p):
-                b_mix[k, p] = np.outer(fh[k] @ u[:, p], v[:, p].conj() @ cb.w[k])
+        b_mix = _path_mixing(cb, sample_paths(cfg.channel, rng))
         sqrt_beta = np.sqrt(np.asarray(cfg.channel.beta))
     counts = np.zeros(max(len(plan.noise_vars), 1), dtype=np.int64)
     chunk = _full_chunk(cfg.k, cfg.m_r, cfg.l)
@@ -399,7 +385,7 @@ def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     plan = _FullPlan(config=config, gamma=gamma, noise_vars=noise_vars, codebook=codebook,
                      x=signal.x[0], sqrt_factor=corr.sqrt_factor)
     results = _map_drops(partial(_full_drop, plan), config.drops, workers)
-    counts, trials = _merge_counts(results, config.drops, len(noise_vars))
+    counts, trials = _merge_counts(results, len(noise_vars))
     asym = _asymptotic_fill(config, gamma, noise_vars,
                             _prediction_covariance(config, codebook, corr.psi))
     return _rows_from_counts(config, gamma, counts, trials, asym)
@@ -444,7 +430,7 @@ def estimate_fa(config: ExperimentConfig, workers: int = 1,
         plan = _FullPlan(config=config, gamma=gamma, noise_vars=(), codebook=codebook,
                          x=signal.x[0], sqrt_factor=np.eye(config.k), noise_only=True)
         results = _map_drops(partial(_full_drop, plan), config.drops, workers)
-    counts, trials = _merge_counts(results, config.drops, 1)
+    counts, trials = _merge_counts(results, 1)
     p = int(counts[0]) / trials
     return ResultRow(
         approach=config.approach, k=config.k, snr_db=math.nan, gamma=gamma,

@@ -3,7 +3,8 @@ and the low-noise asymptotic missed detection, the small-threshold ratio
 law, and the closed-form false alarm.
 
 Hand oracles use 2x2 trace/determinant algebra, exact polynomial identities,
-and an independent binomial-tail summation.
+an independent binomial-tail summation, and a slot-by-slot loop of outer
+products for the effective covariance.
 """
 
 import math
@@ -26,6 +27,7 @@ from omnisync.analysis import (
     hermitian_eigenvalues,
     lemma1_cdf,
     md_exact,
+    path_factor,
 )
 from omnisync.channel import (
     SEC6_DOPPLER_HZ,
@@ -33,10 +35,12 @@ from omnisync.channel import (
     ChannelConfig,
     PathSet,
     correlation_matrix,
+    sample_paths,
+    steering,
 )
 from omnisync.codebook import build_approach_codebook, build_omni_codebook
 from omnisync.detector import threshold_from_fa
-from omnisync.montecarlo import ExperimentConfig, run_md_reduced
+from omnisync.montecarlo import ExperimentConfig, _path_mixing, derive_seed, run_md_reduced
 
 
 def sec6_psi(k):
@@ -85,6 +89,87 @@ def test_covariance_from_eigenvalues():
 
 
 # ===== Effective covariance builders =====
+
+
+def loop_path_vectors(codebook, theta_r, theta_t):
+    """Per-slot a_k = (W_k^T v*) kron (F_k^H u) of one path, slot by slot."""
+    u = steering(theta_r, codebook.m_r)
+    v = steering(theta_t, codebook.m_t)
+    return [np.kron(wk.T @ v.conj(), fk.conj().T @ u) for wk, fk in zip(codebook.w, codebook.f)]
+
+
+def loop_covariance_oracle(codebook, paths, beta, psi):
+    """Effective covariance by the K x K x P loop of outer products: block
+    (k, l) is psi[k, l] * sum_p beta_p * a_kp a_lp^H."""
+    k = codebook.k
+    q0 = codebook.n_t * codebook.n_r
+    r = np.zeros((k * q0, k * q0), dtype=np.complex128)
+    for p, b in enumerate(beta):
+        a = loop_path_vectors(codebook, float(paths.theta_r[p]), float(paths.theta_t[p]))
+        for i in range(k):
+            for j in range(k):
+                r[i * q0:(i + 1) * q0, j * q0:(j + 1) * q0] += (
+                    psi[i, j] * b * np.outer(a[i], a[j].conj()))
+    return r
+
+
+ORACLE_DESIGNS = {"omni-golay": 2, "quasi-omni-zc": 1, "dft-sweep": 1, "random-phase": 1}
+ORACLE_BETA = {1: (1.0,), 4: (0.1, 0.2, 0.3, 0.4)}
+
+
+def oracle_case(design, k, p, f_d=SEC6_DOPPLER_HZ):
+    """Codebook, random paths, unequal gains and the slot correlation."""
+    channel = ChannelConfig(m_t=16, m_r=8, p=p, beta=ORACLE_BETA[p], f_d=f_d,
+                            t_s=SEC6_SLOT_INTERVAL_S, k=k)
+    cb = build_approach_codebook(design, 16, ORACLE_DESIGNS[design], 8, 2, k, seed=k * 10 + p)
+    return cb, sample_paths(channel, 100 + k * 10 + p), channel.beta, correlation_matrix(channel)
+
+
+def max_rel_err(got, want):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+def test_batched_builders_match_loop_oracle(design, k, p):
+    cb, paths, beta, corr = oracle_case(design, k, p)
+    want = loop_covariance_oracle(cb, paths, beta, corr.psi)
+    assert max_rel_err(build_R_general(cb, paths, beta, corr.psi).matrix, want) <= 1e-12
+    if p == 1:
+        single, reduced = build_R_single_path(
+            cb, float(paths.theta_r[0]), float(paths.theta_t[0]), corr.psi)
+        assert max_rel_err(single.matrix, want) <= 1e-12
+        norms = [np.vdot(a, a).real for a in loop_path_vectors(
+            cb, float(paths.theta_r[0]), float(paths.theta_t[0]))]
+        assert max_rel_err(reduced, corr.psi * np.array(norms)[None, :]) <= 1e-12
+
+
+@pytest.mark.parametrize("f_d", [SEC6_DOPPLER_HZ, 0.0])
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+def test_path_factor_matches_loop_oracle(design, k, p, f_d):
+    """S S^H = R, also for the rank-one all-ones psi at f_d = 0."""
+    cb, paths, beta, corr = oracle_case(design, k, p, f_d)
+    s = path_factor(cb, paths, beta, corr.sqrt_factor)
+    assert s.shape == (k * cb.n_t * cb.n_r, p * k)
+    want = loop_covariance_oracle(cb, paths, beta, corr.psi)
+    assert max_rel_err(s @ s.conj().T, want) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+def test_full_estimator_mixing_matches_loop_vectors(design, p):
+    """The full estimator's F_k^H u_p v_p^H W_k is a_kp unstacked column-major."""
+    cb, paths, _, _ = oracle_case(design, 8, p)
+    b_mix = _path_mixing(cb, paths)
+    assert b_mix.shape == (8, p, cb.n_r, cb.n_t)
+    for i in range(p):
+        vectors = loop_path_vectors(cb, float(paths.theta_r[i]), float(paths.theta_t[i]))
+        for k, a in enumerate(vectors):
+            want = a.reshape(cb.n_r, cb.n_t, order="F")
+            assert np.max(np.abs(b_mix[k, i] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_single_path_reduced_form_shares_spectrum():
@@ -268,6 +353,26 @@ def test_md_exact_matches_reduced_sampler():
     for row in rows:
         law = md_exact(eigs, 10.0 ** (-row.snr_db / 10.0), row.gamma, 1, 16, 2, 2)
         sigma = math.sqrt(law * (1.0 - law) / row.trials)
+        assert abs(row.p_md_hat - law) <= 3 * sigma, (
+            f"at {row.snr_db} dB sampled {row.p_md_hat:.4e} vs exact {law:.4e}")
+
+
+def test_md_exact_matches_multipath_sampler():
+    """Given each drop's angles the exact law is known per drop, so the pooled
+    four-path sample is held to the mean of the per-drop laws."""
+    channel = ChannelConfig(m_t=16, m_r=8, p=4, beta=(0.1, 0.2, 0.3, 0.4),
+                            f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S, k=4)
+    config = ExperimentConfig(
+        approach="quasi-omni-zc", k=4, m_t=16, m_r=8, n_t=1, n_r=2, l=16, channel=channel,
+        snr_db_list=(-10.0, -4.0), drops=40, frames_per_drop=500, master_seed=6)
+    cb = build_approach_codebook("quasi-omni-zc", 16, 1, 8, 2, 4)
+    psi = correlation_matrix(channel).psi
+    eigs = np.array([build_R_general(cb, sample_paths(channel, derive_seed(6, d)),
+                                     channel.beta, psi).eigs for d in range(config.drops)])
+    for row in run_md_reduced(config):
+        laws = md_exact(eigs, 10.0 ** (-row.snr_db / 10.0), row.gamma, 4, 16, 2, 1)
+        law = float(np.mean(laws))
+        sigma = math.sqrt(float(np.mean(laws * (1.0 - laws))) / row.trials)
         assert abs(row.p_md_hat - law) <= 3 * sigma, (
             f"at {row.snr_db} dB sampled {row.p_md_hat:.4e} vs exact {law:.4e}")
 

@@ -253,6 +253,17 @@ def test_worker_count_does_not_change_results():
     assert fa_serial == fa_pool
 
 
+def test_worker_count_does_not_change_multipath_results():
+    """Four paths: every drop samples through its own explicit factor."""
+    channel = ChannelConfig(m_t=16, m_r=8, p=4, beta=(0.1, 0.2, 0.3, 0.4),
+                            f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S, k=4)
+    config = ExperimentConfig(
+        approach="quasi-omni-zc", k=4, m_t=16, m_r=8, n_t=1, n_r=2, l=16, channel=channel,
+        snr_db_list=(-10.0, -4.0), drops=12, frames_per_drop=200, master_seed=4)
+    serial = results_to_csv(run_md_reduced(config, workers=1))
+    assert serial == results_to_csv(run_md_reduced(config, workers=2))
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_worker_count_below_one_is_rejected(workers):
     config = make_config(drops=2, frames_per_drop=10)
