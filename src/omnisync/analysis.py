@@ -120,24 +120,6 @@ def build_R_general(codebook: Codebook, paths: PathSet, beta, psi: np.ndarray) -
     return _make_covariance(r, "general")
 
 
-def build_R_single_path(
-    codebook: Codebook, theta_r: float, theta_t: float, psi: np.ndarray
-) -> tuple[EffectiveCovariance, np.ndarray]:
-    """Effective covariance for one path, plus the K x K reduced matrix.
-
-    The reduced matrix psi * diag(a_k^H a_k) shares the nonzero eigenvalues
-    of the full K*N_r*N_t covariance; for constant-power designs like
-    omni-golay, a_k^H a_k = N_r * N_t at every angle, so the spectrum does
-    not depend on the path direction.
-    """
-    q0 = codebook.n_t * codebook.n_r
-    a = _path_vectors(codebook, theta_r, theta_t)
-    norms = np.sum(np.abs(a.reshape(codebook.k, q0)) ** 2, axis=1)
-    reduced = psi * norms[None, :]
-    r = np.kron(psi, np.ones((q0, q0))) * (a @ a.conj().T)
-    return _make_covariance(r, "single-path"), reduced
-
-
 def path_factor(codebook: Codebook, paths: PathSet, beta, sqrt_psi: np.ndarray) -> np.ndarray:
     """Explicit factor S of the P-path effective covariance, S S^H = R.
 
@@ -381,17 +363,6 @@ def lemma1_cdf(ratio: GeneralizedFRatio, t: float) -> float:
         h = float(_homogeneous_sums(m, ratio.sigma)[m])
     inv_lam = math.prod(1.0 / v for v in ratio.lam)
     return (t ** m) * inv_lam * h
-
-
-def chi_moment(sigma, n: int) -> float:
-    """n-th raw moment of a weighted sum of unit-mean exponentials:
-    E{Y^n} = n! * h_n(sigma)."""
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
-    sig = tuple(float(s) for s in sigma)
-    if any(s <= 0 for s in sig):
-        raise ValueError("weights must be positive")
-    return math.factorial(n) * float(_homogeneous_sums(n, sig)[n])
 
 
 # ===== False alarm =====

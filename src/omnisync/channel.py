@@ -82,15 +82,6 @@ class PathSet:
     theta_t: np.ndarray
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-slot channel matrices; alpha holds the P x K path gains for the
-    geometric model and is None for the i.i.d. model."""
-
-    h: tuple[np.ndarray, ...]
-    alpha: np.ndarray | None
-
-
 # ===== Primitives =====
 
 
@@ -163,49 +154,3 @@ def sample_paths(config: ChannelConfig, seed: int | np.random.Generator) -> Path
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def realize_channel(
-    config: ChannelConfig,
-    paths: PathSet,
-    corr: TemporalCorrelation,
-    seed: int | np.random.Generator,
-) -> ChannelRealization:
-    """One fading realization of the geometric channel over all K slots.
-
-    Per path p the gain trajectory over slots is sqrt(beta_p) times the
-    correlation factor applied to a white standard complex normal vector, so
-    E{alpha_p,k alpha_p,l^*} = beta_p * psi[k, l].
-    """
-    rng = np.random.default_rng(seed)
-    alpha = np.empty((config.p, config.k), dtype=np.complex128)
-    for p in range(config.p):
-        xi = _complex_normal(rng, config.k)
-        alpha[p] = math.sqrt(config.beta[p]) * (corr.sqrt_factor @ xi)
-    u = np.stack([steering(t, config.m_r) for t in paths.theta_r], axis=1)
-    v = np.stack([steering(t, config.m_t) for t in paths.theta_t], axis=1)
-    h = []
-    for k in range(config.k):
-        hk = (u * alpha[:, k]) @ v.conj().T
-        hk.setflags(write=False)
-        h.append(hk)
-    alpha.setflags(write=False)
-    return ChannelRealization(h=tuple(h), alpha=alpha)
-
-
-def iid_channel(config: ChannelConfig, seed: int | np.random.Generator) -> ChannelRealization:
-    """Entrywise independent Rayleigh channel with the slot correlation psi.
-
-    Every antenna pair (r, t) gets an independent gain trajectory with the
-    same temporal law as the geometric path gains; E{||H_k||_F^2} = M_r * M_t.
-    """
-    corr = correlation_matrix(config)
-    rng = np.random.default_rng(seed)
-    xi = _complex_normal(rng, (config.k, config.m_r * config.m_t))
-    g = corr.sqrt_factor @ xi
-    h = []
-    for k in range(config.k):
-        hk = g[k].reshape((config.m_r, config.m_t), order="F")
-        hk.setflags(write=False)
-        h.append(hk)
-    return ChannelRealization(h=tuple(h), alpha=None)

@@ -1,6 +1,6 @@
 """GLRT synchronization detector for the slot-based downlink frame.
 
-Each slot observes Y_k = F_k^H H_k W_k X_k + F_k^H Z_k under the signal
+Each slot observes Y_k = F_k^H H_k W_k X + F_k^H Z_k under the signal
 hypothesis and Y_k = F_k^H Z_k under noise only, with Z_k white complex
 normal of variance noise_var per entry.  The detector compares a normalized
 ratio statistic T in [0, 1] against a threshold chosen from the closed-form
@@ -11,150 +11,49 @@ of the combiner columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import fa_closed_form
-from .channel import ChannelRealization, _complex_normal
-from .codebook import Codebook
 
 
-class UndefinedStatisticError(ValueError):
-    """Raised when the observed frame has zero energy, leaving T undefined."""
+def make_sync_signal(n_t: int, l: int) -> np.ndarray:
+    """Harmonic pilot X (N_t x L), shared by every slot: row n is the n-th
+    DFT tone over L samples, scaled so the rows are orthogonal with squared
+    norm L / N_t, i.e. X X^H = (L / N_t) * I.
 
-
-# ===== Synchronization signal =====
-
-
-@dataclass(frozen=True)
-class SyncSignal:
-    """Per-slot pilot matrices X_k (N_t x L), identical across slots, with
-    X_k X_k^H = (L / N_t) * I."""
-
-    x: tuple[np.ndarray, ...]
-    l: int
-
-
-def make_sync_signal(n_t: int, l: int, k: int) -> SyncSignal:
-    """Harmonic pilot: row n is the n-th DFT tone over L samples, scaled so
-    the rows are orthogonal with squared norm L / N_t."""
-    if n_t < 1 or l < n_t:
-        raise ValueError(f"need 1 <= n_t <= l, got n_t={n_t}, l={l}")
+    L must exceed N_t: at L = N_t the pilot rows span every observation and
+    T is identically 1.
+    """
+    if n_t < 1 or l <= n_t:
+        raise ValueError(f"need 1 <= n_t < l, got n_t={n_t}, l={l}")
     rows = np.arange(n_t)[:, None] * np.arange(l)[None, :]
     x = np.exp(2j * np.pi * rows / l) / math.sqrt(n_t)
     x.setflags(write=False)
-    return SyncSignal(x=tuple([x] * k), l=l)
+    return x
 
 
-# ===== Frame synthesis =====
+def glrt_statistic(y: np.ndarray, x: np.ndarray, f) -> np.ndarray:
+    """Generalized likelihood ratio statistic T for a batch of frames.
 
-
-@dataclass(frozen=True)
-class SyncFrame:
-    """Post-combining observations Y_k (N_r x L) for one frame."""
-
-    y: tuple[np.ndarray, ...]
-    hypothesis: str
-    noise_var: float
-
-
-def synthesize(
-    codebook: Codebook,
-    signal: SyncSignal,
-    channel: ChannelRealization | None,
-    noise_var: float,
-    hypothesis: str,
-    seed: int | np.random.Generator,
-) -> SyncFrame:
-    """Draws one frame; hypothesis "h1" adds the precoded signal term.
-
-    The raw noise is drawn at the antenna level (M_r x L per slot) and passed
-    through the combiner, so non-orthogonal combiners color it exactly as the
-    model prescribes.
+    y holds the post-combining observations Y_k (N_r x L) of the K slots as a
+    (frames, K, N_r, L) array; one frame is a batch of one.  x is the pilot
+    X (N_t x L) and f the K combiners F_k (M_r x N_r).  T is the fraction of
+    the combiner-whitened observed energy, sum_k tr((F_k^H F_k)^-1 Y_k Y_k^H),
+    captured by the least-squares projection onto the pilot rows, so it lies
+    in [0, 1] up to rounding.  Returns one T per frame and raises ValueError
+    when a frame has no energy, where T is undefined.
     """
-    if hypothesis not in ("h0", "h1"):
-        raise ValueError(f"hypothesis must be 'h0' or 'h1', got {hypothesis!r}")
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
-    if hypothesis == "h1" and channel is None:
-        raise ValueError("the signal hypothesis needs a channel realization")
-    rng = np.random.default_rng(seed)
-    y = []
-    for k in range(codebook.k):
-        fk = codebook.f[k]
-        z = math.sqrt(noise_var) * _complex_normal(rng, (codebook.m_r, signal.x[k].shape[1]))
-        yk = fk.conj().T @ z
-        if hypothesis == "h1":
-            yk = yk + fk.conj().T @ (channel.h[k] @ (codebook.w[k] @ signal.x[k]))
-        yk.setflags(write=False)
-        y.append(yk)
-    return SyncFrame(y=tuple(y), hypothesis=hypothesis, noise_var=noise_var)
-
-
-# ===== GLRT statistic =====
-
-
-@dataclass(frozen=True)
-class DetectorOutput:
-    """Normalized statistic T in [0, 1], the raw log-likelihood-ratio scale
-    t_raw = -K*L*N_r*ln(1 - T), and optionally the threshold used."""
-
-    t: float
-    t_raw: float
-    gamma: float | None = None
-
-    def with_threshold(self, gamma: float) -> "DetectorOutput":
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"threshold must be inside (0, 1), got {gamma!r}")
-        return replace(self, gamma=gamma)
-
-    @property
-    def detected(self) -> bool:
-        # Strict inequality: a tie at the threshold is declared not-detected.
-        if self.gamma is None:
-            raise ValueError("no threshold attached; call with_threshold first")
-        return self.t > self.gamma
-
-
-def glrt_statistic(frame: SyncFrame, codebook: Codebook, signal: SyncSignal) -> DetectorOutput:
-    """Generalized likelihood ratio for signal presence over the K slots.
-
-    T is the fraction of the (combiner-whitened) observed energy captured by
-    the least-squares projection onto the pilot rows.  t_raw is computed
-    independently as the difference of the two maximized log-likelihoods,
-    which reduces to K*L*N_r times the log ratio of the noise-variance
-    estimates under the two hypotheses.
-    """
-    k = codebook.k
-    n_r = codebook.n_r
-    l = signal.l
-    num = 0.0
-    den = 0.0
-    resid = 0.0
-    for i in range(k):
-        yk = frame.y[i]
-        xk = signal.x[i]
-        fk = codebook.f[i]
-        fhf = fk.conj().T @ fk
-        a = yk @ xk.conj().T
-        xxh = xk @ xk.conj().T
-        gain = a @ np.linalg.solve(xxh, a.conj().T)
-        num += float(np.trace(np.linalg.solve(fhf, gain)).real)
-        den += float(np.trace(np.linalg.solve(fhf, yk @ yk.conj().T)).real)
-        # Residual of the per-slot least-squares fit, whitened by F^H F.
-        g_hat = np.linalg.solve(xxh.conj().T, a.conj().T).conj().T
-        e = yk - g_hat @ xk
-        resid += float(np.trace(np.linalg.solve(fhf, e @ e.conj().T)).real)
-    if den <= 0.0:
-        raise UndefinedStatisticError("frame has no energy; statistic undefined")
-    t = min(max(num / den, 0.0), 1.0)
-    scale = k * l * n_r
-    if resid <= 0.0:
-        t_raw = math.inf
-    else:
-        t_raw = scale * (math.log(den / scale) - math.log(resid / scale))
-    return DetectorOutput(t=t, t_raw=t_raw)
+    xc = x.conj().T
+    inv_xxh = np.linalg.inv(x @ xc)
+    minv = np.stack([np.linalg.inv(fk.conj().T @ fk) for fk in f])
+    a = np.einsum("ckal,lt->ckat", y, xc)
+    t1 = np.einsum("ckat,ts->ckas", a, inv_xxh)
+    num = np.einsum("ckas,ckbs,kba->ck", t1, a.conj(), minv).real
+    den = np.einsum("ckal,ckbl,kba->ck", y, y.conj(), minv).real.sum(axis=1)
+    if np.any(den <= 0.0):
+        raise ValueError("frame has no energy; statistic undefined")
+    return num.sum(axis=1) / den
 
 
 def threshold_from_fa(p_fa_target: float, k: int, l: int, n_r: int, n_t: int) -> float:

@@ -10,8 +10,9 @@ count.
 
 Two estimators are provided: "reduced" scores the low-dimensional ratio form
 of the statistic (a weighted signal vector plus white noise over an
-independent chi-square), "full" synthesizes antenna-level frames and runs
-the detector arithmetic.  Both share the pooling and determinism contract.
+independent chi-square), "full" draws antenna-level frames in batches
+and scores them with detector.glrt_statistic.  Both share the pooling and
+determinism contract.
 """
 
 from __future__ import annotations
@@ -27,15 +28,15 @@ from .analysis import (
     EffectiveCovariance,
     _path_vectors,
     asymptotic_md,
+    build_R_general,
     build_R_iid,
-    build_R_single_path,
     fa_closed_form,
     hermitian_eigenvalues,
     path_factor,
 )
-from .channel import ChannelConfig, _complex_normal, correlation_matrix, sample_paths
+from .channel import ChannelConfig, PathSet, _complex_normal, correlation_matrix, sample_paths
 from .codebook import NAMED_DESIGNS, Codebook, build_approach_codebook
-from .detector import make_sync_signal, threshold_from_fa
+from .detector import glrt_statistic, make_sync_signal, threshold_from_fa
 
 DESK_P_FA = 1e-2
 
@@ -187,8 +188,7 @@ def _prediction_covariance(config, codebook, psi) -> EffectiveCovariance | None:
         psi_eigs = hermitian_eigenvalues(psi)
         full_rank = int(np.sum(psi_eigs > config.k * psi_eigs[0] * 1e-10)) == config.k
         if full_rank:
-            cov, _ = build_R_single_path(codebook, 0.0, 0.0, psi)
-            return cov
+            return build_R_general(codebook, PathSet(np.zeros(1), np.zeros(1)), (1.0,), psi)
     return None
 
 
@@ -296,23 +296,15 @@ def _full_chunk(k: int, m_r: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class _FullPlan:
+    """One full-estimator run; sqrt_factor None drops the signal term, so
+    every frame is noise only."""
+
     config: ExperimentConfig
     gamma: float
     noise_vars: tuple[float, ...]
     codebook: Codebook
     x: np.ndarray
-    sqrt_factor: np.ndarray
-    noise_only: bool = False
-
-
-def _batch_statistic(y: np.ndarray, xc: np.ndarray, inv_xxh: np.ndarray,
-                     minv: np.ndarray) -> np.ndarray:
-    """Detector statistic for a (frames, slots, N_r, L) batch of observations."""
-    a = np.einsum("ckal,lt->ckat", y, xc)
-    t1 = np.einsum("ckat,ts->ckas", a, inv_xxh)
-    num = np.einsum("ckas,ckbs,kba->ck", t1, a.conj(), minv).real
-    den = np.einsum("ckal,ckbl,kba->ck", y, y.conj(), minv).real
-    return num.sum(axis=1) / den.sum(axis=1)
+    sqrt_factor: np.ndarray | None
 
 
 def _path_mixing(codebook: Codebook, paths) -> np.ndarray:
@@ -322,49 +314,53 @@ def _path_mixing(codebook: Codebook, paths) -> np.ndarray:
     return a.reshape(codebook.k, codebook.n_t, codebook.n_r, -1).transpose(0, 3, 2, 1)
 
 
+def _effective_channels(rng, channel: ChannelConfig, codebook: Codebook,
+                        sqrt_factor: np.ndarray, b_mix: np.ndarray | None, c: int) -> np.ndarray:
+    """c draws of the effective channels G_k = F_k^H H_k W_k, shape (c, K, N_r, N_t).
+
+    Under the geometric model b_mix is the drop's path mixing (_path_mixing)
+    and the P path gains are drawn; under the i.i.d. model b_mix is unused
+    and every antenna pair gets its own gain trajectory.  With sqrt_factor
+    the slot-correlation factor, the slot-stacked column-major vec(G_k) has
+    the covariance of analysis.build_R_general or build_R_iid.
+    """
+    if channel.model == "geometric":
+        xi = _complex_normal(rng, (channel.p, channel.k, c))
+        alpha = np.einsum("kj,pjc->pkc", sqrt_factor, xi) * np.sqrt(
+            np.asarray(channel.beta))[:, None, None]
+        return np.einsum("pkc,kpab->ckab", alpha, b_mix)
+    xi = _complex_normal(rng, (c, channel.k, channel.m_r * channel.m_t))
+    gains = np.einsum("kj,cjm->ckm", sqrt_factor, xi)
+    h = gains.reshape(c, channel.k, channel.m_t, channel.m_r).swapaxes(2, 3)
+    fh = np.stack([f.conj().T for f in codebook.f])
+    return np.einsum("kam,ckmt,ktb->ckab", fh, h, np.stack(codebook.w))
+
+
 def _full_drop(plan: _FullPlan, drop_index: int):
+    """Misses (T <= gamma) per noise variance over one drop's frames."""
     cfg = plan.config
     cb = plan.codebook
     rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
-    x = plan.x
-    xc = x.conj().T
-    inv_xxh = np.linalg.inv(x @ x.conj().T)
     fh = np.stack([f.conj().T for f in cb.f])
-    minv = np.stack([np.linalg.inv(f.conj().T @ f) for f in cb.f])
-    w_stack = np.stack(cb.w)
-    geometric = cfg.channel.model == "geometric" and not plan.noise_only
     b_mix = None
-    sqrt_beta = None
-    if geometric:
+    if plan.sqrt_factor is not None and cfg.channel.model == "geometric":
         b_mix = _path_mixing(cb, sample_paths(cfg.channel, rng))
-        sqrt_beta = np.sqrt(np.asarray(cfg.channel.beta))
-    counts = np.zeros(max(len(plan.noise_vars), 1), dtype=np.int64)
+    counts = np.zeros(len(plan.noise_vars), dtype=np.int64)
     chunk = _full_chunk(cfg.k, cfg.m_r, cfg.l)
     remaining = cfg.frames_per_drop
     while remaining > 0:
         c = min(chunk, remaining)
         remaining -= c
-        if plan.noise_only:
-            z = _complex_normal(rng, (c, cfg.k, cfg.m_r, cfg.l))
-            y = np.einsum("kam,ckml->ckal", fh, z)
-            tvals = _batch_statistic(y, xc, inv_xxh, minv)
-            counts[0] += int(np.sum(tvals > plan.gamma))
-            continue
-        if geometric:
-            xi = _complex_normal(rng, (cfg.channel.p, cfg.k, c))
-            alpha = np.einsum("kj,pjc->pkc", plan.sqrt_factor, xi) * sqrt_beta[:, None, None]
-            geff = np.einsum("pkc,kpab->ckab", alpha, b_mix)
-        else:
-            xi = _complex_normal(rng, (c, cfg.k, cfg.m_r * cfg.m_t))
-            gains = np.einsum("kj,cjm->ckm", plan.sqrt_factor, xi)
-            h = gains.reshape(c, cfg.k, cfg.m_t, cfg.m_r).swapaxes(2, 3)
-            geff = np.einsum("kam,ckmt,ktb->ckab", fh, h, w_stack)
-        ys = np.einsum("ckab,bl->ckal", geff, x)
+        ys = None
+        if plan.sqrt_factor is not None:
+            geff = _effective_channels(rng, cfg.channel, cb, plan.sqrt_factor, b_mix, c)
+            ys = np.einsum("ckab,bl->ckal", geff, plan.x)
         z = _complex_normal(rng, (c, cfg.k, cfg.m_r, cfg.l))
         yz = np.einsum("kam,ckml->ckal", fh, z)
         for i, nv in enumerate(plan.noise_vars):
-            tvals = _batch_statistic(ys + math.sqrt(nv) * yz, xc, inv_xxh, minv)
-            counts[i] += int(np.sum(tvals <= plan.gamma))
+            # T is scale-invariant, so noise-only frames are scored unscaled.
+            y = yz if ys is None else ys + math.sqrt(nv) * yz
+            counts[i] += int(np.sum(glrt_statistic(y, plan.x, cb.f) <= plan.gamma))
     return counts, cfg.frames_per_drop
 
 
@@ -372,8 +368,8 @@ def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Missed-detection sweep through antenna-level frame synthesis.
 
     Frames are drawn in config-determined chunks (gain variables first, then
-    antenna noise) and scored with the same arithmetic as the single-frame
-    detector; noise draws are shared across the SNR list.
+    antenna noise) and scored in batches by detector.glrt_statistic; noise
+    draws are shared across the SNR list.
     """
     if not config.snr_db_list:
         return []
@@ -381,9 +377,8 @@ def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
     codebook = experiment_codebook(config)
     corr = correlation_matrix(config.channel)
-    signal = make_sync_signal(config.n_t, config.l, config.k)
     plan = _FullPlan(config=config, gamma=gamma, noise_vars=noise_vars, codebook=codebook,
-                     x=signal.x[0], sqrt_factor=corr.sqrt_factor)
+                     x=make_sync_signal(config.n_t, config.l), sqrt_factor=corr.sqrt_factor)
     results = _map_drops(partial(_full_drop, plan), config.drops, workers)
     counts, trials = _merge_counts(results, len(noise_vars))
     asym = _asymptotic_fill(config, gamma, noise_vars,
@@ -395,6 +390,7 @@ def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
 
 
 def _fa_reduced_drop(config: ExperimentConfig, gamma: float, drop_index: int):
+    """Noise-only frames that stay at or below gamma, counted as misses."""
     rng = np.random.default_rng(derive_seed(config.master_seed, drop_index))
     q = config.k * config.n_r * config.n_t
     d_dim = config.k * config.n_r * (config.l - config.n_t)
@@ -406,7 +402,7 @@ def _fa_reduced_drop(config: ExperimentConfig, gamma: float, drop_index: int):
         remaining -= c
         xnum = rng.gamma(q, 1.0, size=c)
         yden = rng.gamma(d_dim, 1.0, size=c)
-        count += int(np.sum(xnum * (1.0 - gamma) > gamma * yden))
+        count += int(np.sum(xnum * (1.0 - gamma) <= gamma * yden))
     return np.array([count], dtype=np.int64), config.frames_per_drop
 
 
@@ -423,15 +419,13 @@ def estimate_fa(config: ExperimentConfig, workers: int = 1,
     if not 0.0 <= gamma < 1.0:
         raise ValueError("threshold must be inside [0, 1)")
     if config.estimator == "reduced":
-        results = _map_drops(partial(_fa_reduced_drop, config, gamma), config.drops, workers)
+        task = partial(_fa_reduced_drop, config, gamma)
     else:
-        codebook = experiment_codebook(config)
-        signal = make_sync_signal(config.n_t, config.l, config.k)
-        plan = _FullPlan(config=config, gamma=gamma, noise_vars=(), codebook=codebook,
-                         x=signal.x[0], sqrt_factor=np.eye(config.k), noise_only=True)
-        results = _map_drops(partial(_full_drop, plan), config.drops, workers)
-    counts, trials = _merge_counts(results, 1)
-    p = int(counts[0]) / trials
+        task = partial(_full_drop, _FullPlan(
+            config=config, gamma=gamma, noise_vars=(1.0,), codebook=experiment_codebook(config),
+            x=make_sync_signal(config.n_t, config.l), sqrt_factor=None))
+    misses, trials = _merge_counts(_map_drops(task, config.drops, workers), 1)
+    p = (trials - int(misses[0])) / trials
     return ResultRow(
         approach=config.approach, k=config.k, snr_db=math.nan, gamma=gamma,
         p_fa_target=config.p_fa_target, p_md_hat=p,

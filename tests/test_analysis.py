@@ -15,12 +15,12 @@ import pytest
 from omnisync.analysis import (
     _log_comb,
     _log_comb_row,
+    _make_covariance,
+    _path_vectors,
     GeneralizedFRatio,
     asymptotic_md,
     build_R_general,
     build_R_iid,
-    build_R_single_path,
-    chi_moment,
     covariance_from_eigenvalues,
     fa_closed_form,
     fa_closed_form_log,
@@ -40,7 +40,13 @@ from omnisync.channel import (
 )
 from omnisync.codebook import build_approach_codebook, build_omni_codebook
 from omnisync.detector import threshold_from_fa
-from omnisync.montecarlo import ExperimentConfig, _path_mixing, derive_seed, run_md_reduced
+from omnisync.montecarlo import (
+    ExperimentConfig,
+    _path_mixing,
+    _prediction_covariance,
+    derive_seed,
+    run_md_reduced,
+)
 
 
 def sec6_psi(k):
@@ -111,6 +117,19 @@ def loop_covariance_oracle(codebook, paths, beta, psi):
                 r[i * q0:(i + 1) * q0, j * q0:(j + 1) * q0] += (
                     psi[i, j] * b * np.outer(a[i], a[j].conj()))
     return r
+
+
+def build_R_single_path(codebook, theta_r, theta_t, psi):
+    """Effective covariance for one path at unit gain, plus the K x K
+    reduced matrix psi * diag(a_k^H a_k), which shares the nonzero
+    eigenvalues of the K*N_r*N_t covariance.  For constant-power designs
+    like omni-golay a_k^H a_k = N_r * N_t at every angle, so the spectrum
+    does not depend on the path direction."""
+    q0 = codebook.n_t * codebook.n_r
+    a = _path_vectors(codebook, theta_r, theta_t)
+    norms = np.sum(np.abs(a.reshape(codebook.k, q0)) ** 2, axis=1)
+    r = np.kron(psi, np.ones((q0, q0))) * (a @ a.conj().T)
+    return _make_covariance(r, "single-path"), psi * norms[None, :]
 
 
 ORACLE_DESIGNS = {"omni-golay": 2, "quasi-omni-zc": 1, "dft-sweep": 1, "random-phase": 1}
@@ -208,6 +227,26 @@ def test_general_builder_matches_single_path():
     general = build_R_general(cb, paths, (1.0,), psi)
     single, _ = build_R_single_path(cb, 0.42, 0.17, psi)
     assert np.max(np.abs(general.matrix - single.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_prediction_covariance_is_single_path_at_zero_angle(k):
+    """The omni-golay single-path asymptote takes its covariance from
+    build_R_general at angle 0: bit for bit the single-path formula, of
+    full rank K with the reduced matrix's spectrum."""
+    channel = ChannelConfig(m_t=8, m_r=8, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
+                            t_s=SEC6_SLOT_INTERVAL_S, k=k)
+    config = ExperimentConfig(approach="omni-golay", k=k, m_t=8, m_r=8, n_t=2, n_r=2, l=16,
+                              channel=channel, snr_db_list=(0.0,))
+    cb = build_omni_codebook(8, 2, 8, 2, k)
+    psi = correlation_matrix(channel).psi
+    cov = _prediction_covariance(config, cb, psi)
+    single, reduced = build_R_single_path(cb, 0.0, 0.0, psi)
+    assert np.array_equal(cov.matrix, single.matrix)
+    assert np.array_equal(cov.eigs, single.eigs)
+    assert cov.rank == single.rank == k
+    small = np.sort(np.linalg.eigvals(reduced).real)[::-1]
+    assert np.allclose(cov.eigs[:k], small, atol=1e-9)
 
 
 def test_general_builder_superposes_paths():
@@ -416,13 +455,6 @@ def test_lemma1_validation():
         GeneralizedFRatio((1.0,), (0.0,))
     with pytest.raises(ValueError):
         lemma1_cdf(GeneralizedFRatio((1.0,), (1.0,)), -0.1)
-
-
-def test_chi_moment_hand_values():
-    assert chi_moment((2.0,), 3) == 48.0          # 3! * 2^3
-    assert chi_moment((1.0, 1.0), 2) == 6.0       # E[(E1+E2)^2]
-    assert chi_moment((1.0, 2.0), 2) == 14.0      # 2! * (1 + 2 + 4)
-    assert chi_moment((5.0,), 0) == 1.0
 
 
 # ===== Closed-form false alarm =====

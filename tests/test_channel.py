@@ -10,18 +10,20 @@ import math
 import numpy as np
 import pytest
 
+from omnisync.analysis import build_R_general, build_R_iid
 from omnisync.channel import (
     SEC6_DOPPLER_HZ,
     SEC6_SLOT_INTERVAL_S,
     ChannelConfig,
+    PathSet,
     bessel_j0,
     correlation_matrix,
-    iid_channel,
-    realize_channel,
     sample_paths,
     steering,
     uniform_gains,
 )
+from omnisync.codebook import build_approach_codebook
+from omnisync.montecarlo import _effective_channels, _path_mixing
 
 
 def sec6_config(k, m_t=4, m_r=4, p=1, beta=None, model="geometric"):
@@ -162,51 +164,37 @@ def test_sample_paths_deterministic_and_ordered():
 # ===== Fading realizations =====
 
 
-def test_realize_channel_is_rank_one_per_slot():
-    config = sec6_config(2)
-    paths = sample_paths(config, 3)
+def assert_matches_covariance(geff, r):
+    """Sample mean and covariance of slot-stacked column-major vec(G_k) (the
+    stacking of the analysis covariance R) within 4 sigma of 0 and R, entry
+    by entry: a sample covariance entry has standard deviation
+    sqrt(R_ii R_jj / n) for n complex normal draws."""
+    n = geff.shape[0]
+    g = geff.transpose(0, 1, 3, 2).reshape(n, -1)
+    scale = np.sqrt(np.diag(r).real)
+    assert np.all(np.abs(g.mean(axis=0)) <= 4 * scale / math.sqrt(n))
+    sample = g.T @ g.conj() / n
+    worst = np.max(np.abs(sample - r) / (np.outer(scale, scale) / math.sqrt(n)))
+    assert worst <= 4.0, f"sample covariance off by {worst:.2f} sigma"
+
+
+def test_geometric_effective_channel_covariance():
+    """Two fixed paths with unequal gains: the drawn G_k follow build_R_general."""
+    config = sec6_config(3, m_t=8, m_r=8, p=2, beta=(0.3, 0.7))
+    cb = build_approach_codebook("random-phase", 8, 2, 8, 2, 3, seed=4)
+    paths = PathSet(theta_r=np.array([0.12, 0.57]), theta_t=np.array([0.33, 0.81]))
     corr = correlation_matrix(config)
-    real = realize_channel(config, paths, corr, 11)
-    u = steering(float(paths.theta_r[0]), 4)
-    v = steering(float(paths.theta_t[0]), 4)
-    for k in range(2):
-        expected = real.alpha[0, k] * np.outer(u, v.conj())
-        assert np.max(np.abs(real.h[k] - expected)) <= 1e-12
+    geff = _effective_channels(np.random.default_rng(47), config, cb, corr.sqrt_factor,
+                               _path_mixing(cb, paths), 20000)
+    assert geff.shape == (20000, 3, 2, 2)
+    assert_matches_covariance(geff, build_R_general(cb, paths, config.beta, corr.psi).matrix)
 
 
-def test_realize_channel_gain_moments():
-    """Sample moments of the per-path gains match beta and the slot correlation."""
-    config = sec6_config(2, p=2, beta=(0.75, 0.25))
-    paths = sample_paths(config, 5)
+def test_iid_effective_channel_covariance():
+    config = sec6_config(2, m_t=4, m_r=4, model="iid")
+    cb = build_approach_codebook("random-phase", 4, 2, 4, 2, 2, seed=6)
     corr = correlation_matrix(config)
-    rng = np.random.default_rng(17)
-    draws = np.stack([realize_channel(config, paths, corr, rng).alpha for _ in range(3000)])
-    power = np.mean(np.abs(draws) ** 2, axis=0)
-    assert np.max(np.abs(power[0] - 0.75)) <= 0.06, f"path 0 power {power[0]}"
-    assert np.max(np.abs(power[1] - 0.25)) <= 0.06, f"path 1 power {power[1]}"
-    cross = np.mean(draws[:, 0, 0] * np.conj(draws[:, 0, 1])) / 0.75
-    assert abs(cross.real - corr.psi[0, 1]) <= 0.08
-    assert abs(cross.imag) <= 0.08
-    assert abs(np.mean(draws[:, 0, 0])) <= 0.05
-
-
-def test_iid_channel_moments():
-    config = sec6_config(2, m_t=3, m_r=2, model="iid")
-    rng = np.random.default_rng(23)
-    draws = np.stack([np.stack(iid_channel(config, rng).h) for _ in range(3000)])
-    assert draws.shape == (3000, 2, 2, 3)
-    assert abs(float(np.mean(np.abs(draws) ** 2)) - 1.0) <= 0.05
-    assert abs(float(np.abs(np.mean(draws)))) <= 0.05
-    cross = np.mean(draws[:, 0] * np.conj(draws[:, 1]))
-    psi01 = correlation_matrix(config).psi[0, 1]
-    assert abs(cross.real - psi01) <= 0.05, f"cross-slot correlation {cross.real:.4f} vs {psi01:.4f}"
-    assert abs(cross.imag) <= 0.05
-
-
-def test_iid_channel_deterministic_for_seed():
-    config = sec6_config(2, m_t=3, m_r=2, model="iid")
-    h_a = iid_channel(config, 31)
-    h_b = iid_channel(config, 31)
-    for a, b in zip(h_a.h, h_b.h):
-        assert np.array_equal(a, b)
-    assert h_a.alpha is None
+    geff = _effective_channels(np.random.default_rng(53), config, cb, corr.sqrt_factor,
+                               None, 20000)
+    assert geff.shape == (20000, 2, 2, 2)
+    assert_matches_covariance(geff, build_R_iid(cb, corr.psi).matrix)

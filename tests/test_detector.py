@@ -1,6 +1,7 @@
-"""Detector tests: pilot structure, the GLRT statistic against a hand
-projection oracle, invariances, threshold calibration, and an end-to-end
-false-alarm rate check against the closed form.
+"""Detector tests: pilot structure, the batched GLRT statistic against a
+per-frame loop oracle and a hand projection oracle, invariances, threshold
+calibration, an end-to-end false-alarm rate check against the closed form,
+and one drop of the full estimator against per-frame synthesis.
 """
 
 import math
@@ -9,16 +10,23 @@ import numpy as np
 import pytest
 
 from omnisync.analysis import fa_closed_form
-from omnisync.channel import ChannelConfig, correlation_matrix, realize_channel, sample_paths
-from omnisync.codebook import Codebook, build_omni_codebook
-from omnisync.detector import (
-    DetectorOutput,
-    SyncFrame,
-    UndefinedStatisticError,
-    glrt_statistic,
-    make_sync_signal,
-    synthesize,
-    threshold_from_fa,
+from omnisync.channel import (
+    SEC6_DOPPLER_HZ,
+    SEC6_SLOT_INTERVAL_S,
+    ChannelConfig,
+    _complex_normal,
+    correlation_matrix,
+    sample_paths,
+    steering,
+)
+from omnisync.codebook import Codebook, build_approach_codebook, build_omni_codebook
+from omnisync.detector import glrt_statistic, make_sync_signal, threshold_from_fa
+from omnisync.montecarlo import (
+    ExperimentConfig,
+    _full_drop,
+    _FullPlan,
+    derive_seed,
+    experiment_codebook,
 )
 
 
@@ -28,21 +36,97 @@ def scalar_codebook(k=1):
     return Codebook(k=k, w=(one,) * k, f=(one,) * k, design="explicit")
 
 
+# ===== Per-frame oracles =====
+
+
+def loop_glrt_statistic(y, codebook, x):
+    """(T, t_raw) of one frame, slot by slot.
+
+    y holds the frame's K observations Y_k (N_r x L).  T is the whitened
+    projection energy over the whitened total; t_raw is computed
+    independently as the difference of the two maximized log-likelihoods,
+    K*L*N_r times the log ratio of the noise-variance estimates under the
+    two hypotheses.
+    """
+    k = codebook.k
+    n_r = codebook.n_r
+    l = x.shape[1]
+    num = 0.0
+    den = 0.0
+    resid = 0.0
+    for i in range(k):
+        yk = y[i]
+        fk = codebook.f[i]
+        fhf = fk.conj().T @ fk
+        a = yk @ x.conj().T
+        xxh = x @ x.conj().T
+        gain = a @ np.linalg.solve(xxh, a.conj().T)
+        num += float(np.trace(np.linalg.solve(fhf, gain)).real)
+        den += float(np.trace(np.linalg.solve(fhf, yk @ yk.conj().T)).real)
+        # Residual of the per-slot least-squares fit, whitened by F^H F.
+        g_hat = np.linalg.solve(xxh.conj().T, a.conj().T).conj().T
+        e = yk - g_hat @ x
+        resid += float(np.trace(np.linalg.solve(fhf, e @ e.conj().T)).real)
+    t = min(max(num / den, 0.0), 1.0)
+    scale = k * l * n_r
+    if resid <= 0.0:
+        return t, math.inf
+    return t, scale * (math.log(den / scale) - math.log(resid / scale))
+
+
+def synthesize_oracle(codebook, x, h, z, noise_var):
+    """One frame, slot by slot: Y_k = F_k^H (H_k W_k X + sqrt(noise_var) Z_k)
+    with antenna-level noise Z_k (M_r x L); h None is noise only."""
+    y = []
+    for k in range(codebook.k):
+        fk = codebook.f[k]
+        yk = fk.conj().T @ (math.sqrt(noise_var) * z[k])
+        if h is not None:
+            yk = yk + fk.conj().T @ (h[k] @ (codebook.w[k] @ x))
+        y.append(yk)
+    return np.stack(y)
+
+
 # ===== Pilot =====
 
 
 def test_sync_signal_row_orthogonality():
-    sig = make_sync_signal(2, 64, 3)
-    x = sig.x[0]
+    x = make_sync_signal(2, 64)
     assert x.shape == (2, 64)
     gram = x @ x.conj().T
     assert np.max(np.abs(gram - (64 / 2) * np.eye(2))) <= 1e-9
-    assert sig.x[1] is x, "slots share the same pilot"
+    assert not x.flags.writeable
     with pytest.raises(ValueError):
-        make_sync_signal(3, 2, 1)
+        make_sync_signal(3, 2)
+    with pytest.raises(ValueError):
+        make_sync_signal(2, 2)  # a square pilot spans every observation: T == 1
+    with pytest.raises(ValueError):
+        make_sync_signal(0, 4)
 
 
 # ===== GLRT statistic =====
+
+
+ORACLE_DESIGNS = [("omni-golay", 2), ("random-phase", 1), ("random-phase", 2)]
+
+
+@pytest.mark.parametrize("frames", [1, 50])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("design,n", ORACLE_DESIGNS)
+def test_glrt_statistic_matches_loop_oracle(design, n, k, frames):
+    cb = build_approach_codebook(design, 8, n, 8, n, k, seed=5)
+    if (design, n) == ("random-phase", 2):
+        fhf = cb.f[0].conj().T @ cb.f[0]
+        assert abs(fhf[0, 1]) > 0.1, "the random combiner should not be orthogonal"
+    x = make_sync_signal(n, 16)
+    rng = np.random.default_rng(100 * k + frames)
+    # Signal strengths spread over frames, so T covers much of [0, 1].
+    gains = _complex_normal(rng, (frames, k, n, n)) * rng.uniform(0.0, 2.0, (frames, 1, 1, 1))
+    y = np.einsum("ckab,bl->ckal", gains, x) + _complex_normal(rng, (frames, k, n, 16))
+    t = glrt_statistic(y, x, cb.f)
+    assert t.shape == (frames,)
+    want = np.array([loop_glrt_statistic(frame, cb, x)[0] for frame in y])
+    assert np.max(np.abs(t - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("y", [
@@ -52,115 +136,64 @@ def test_sync_signal_row_orthogonality():
 ])
 def test_glrt_matches_projection_oracle(y):
     """Scalar case: T is the squared cosine between y and the pilot row."""
-    sig = make_sync_signal(1, 2, 1)
-    frame = SyncFrame(y=(y,), hypothesis="h0", noise_var=1.0)
-    out = glrt_statistic(frame, scalar_codebook(), sig)
-    x = sig.x[0][0]
-    cos2 = abs(np.vdot(x, y[0])) ** 2 / (np.vdot(x, x).real * np.vdot(y[0], y[0]).real)
-    assert abs(out.t - cos2) <= 1e-12, f"T {out.t!r} vs projection oracle {cos2!r}"
+    x = make_sync_signal(1, 2)
+    t = glrt_statistic(y[None, None], x, scalar_codebook().f)
+    cos2 = abs(np.vdot(x[0], y[0])) ** 2 / (np.vdot(x[0], x[0]).real * np.vdot(y[0], y[0]).real)
+    assert abs(t[0] - cos2) <= 1e-12, f"T {t[0]!r} vs projection oracle {cos2!r}"
 
 
 def test_glrt_extremes_and_raw_scale():
-    sig = make_sync_signal(1, 2, 1)
-    aligned = SyncFrame(y=(np.array([[3.0 + 0j, 3.0]]),), hypothesis="h0", noise_var=1.0)
-    out = glrt_statistic(aligned, scalar_codebook(), sig)
-    assert out.t == 1.0
-    assert out.t_raw == math.inf
+    cb = scalar_codebook()
+    x = make_sync_signal(1, 2)
+    # Frames aligned with, orthogonal to and tilted from the pilot row.
+    y = np.array([[[[3.0, 3.0]]], [[[1.0, -1.0]]], [[[1.0, 0.2]]]], dtype=np.complex128)
+    t = glrt_statistic(y, x, cb.f)
+    assert t[0] == 1.0
+    assert abs(t[1]) <= 1e-15
 
-    orthogonal = SyncFrame(y=(np.array([[1.0 + 0j, -1.0]]),), hypothesis="h0", noise_var=1.0)
-    out = glrt_statistic(orthogonal, scalar_codebook(), sig)
-    assert abs(out.t) <= 1e-15
-    assert abs(out.t_raw) <= 1e-12
-
-    tilted = SyncFrame(y=(np.array([[1.0 + 0j, 0.2]]),), hypothesis="h0", noise_var=1.0)
-    out = glrt_statistic(tilted, scalar_codebook(), sig)
+    oracle = [loop_glrt_statistic(frame, cb, x) for frame in y]
+    for (t_loop, _), t_batch in zip(oracle, t):
+        assert abs(t_loop - t_batch) <= 1e-12
+    assert oracle[0][1] == math.inf
+    assert abs(oracle[1][1]) <= 1e-12
     # The two likelihood routes must agree: t_raw = -K L N_r log(1 - T).
-    assert abs(out.t_raw + 2 * math.log1p(-out.t)) <= 1e-10
+    t_loop, t_raw = oracle[2]
+    assert abs(t_raw + 2 * math.log1p(-t_loop)) <= 1e-10
 
 
 def test_glrt_scale_invariance():
     rng = np.random.default_rng(13)
     cb = build_omni_codebook(8, 2, 8, 2, 2)
-    sig = make_sync_signal(2, 16, 2)
-    y = tuple(rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
-              for _ in range(2))
-    base = glrt_statistic(SyncFrame(y=y, hypothesis="h0", noise_var=1.0), cb, sig)
-    scaled = glrt_statistic(
-        SyncFrame(y=tuple(5.0 * yk for yk in y), hypothesis="h0", noise_var=1.0), cb, sig)
-    assert abs(base.t - scaled.t) <= 1e-12
+    x = make_sync_signal(2, 16)
+    y = rng.standard_normal((4, 2, 2, 16)) + 1j * rng.standard_normal((4, 2, 2, 16))
+    base = glrt_statistic(y, x, cb.f)
+    scaled = glrt_statistic(5.0 * y, x, cb.f)
+    assert np.max(np.abs(base - scaled)) <= 1e-12
 
 
 def test_glrt_invariant_to_combiner_recombination():
     """Replacing F by F U (U unitary) with y mapped to U^H y leaves T alone."""
     rng = np.random.default_rng(29)
     cb = build_omni_codebook(8, 2, 8, 2, 1)
-    sig = make_sync_signal(2, 16, 1)
-    y = (rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16)),)
+    x = make_sync_signal(2, 16)
+    y = rng.standard_normal((4, 1, 2, 16)) + 1j * rng.standard_normal((4, 1, 2, 16))
     theta = 0.7
     u = np.array([[math.cos(theta), -math.sin(theta)],
                   [math.sin(theta), math.cos(theta)]], dtype=np.complex128)
-    cb_rot = Codebook(k=1, w=cb.w, f=(cb.f[0] @ u,), design="explicit")
-    base = glrt_statistic(SyncFrame(y=y, hypothesis="h0", noise_var=1.0), cb, sig)
-    rotated = glrt_statistic(
-        SyncFrame(y=(u.conj().T @ y[0],), hypothesis="h0", noise_var=1.0), cb_rot, sig)
-    assert abs(base.t - rotated.t) <= 1e-10
+    base = glrt_statistic(y, x, cb.f)
+    rotated = glrt_statistic(np.einsum("ab,ckbl->ckal", u.conj().T, y), x, (cb.f[0] @ u,))
+    assert np.max(np.abs(base - rotated)) <= 1e-10
 
 
 def test_glrt_zero_frame_raises():
-    sig = make_sync_signal(1, 2, 1)
-    dead = SyncFrame(y=(np.zeros((1, 2), dtype=np.complex128),), hypothesis="h0", noise_var=1.0)
-    with pytest.raises(UndefinedStatisticError):
-        glrt_statistic(dead, scalar_codebook(), sig)
-
-
-def test_detector_output_threshold_rules():
-    out = DetectorOutput(t=0.3, t_raw=1.0)
-    with pytest.raises(ValueError):
-        _ = out.detected
-    assert out.with_threshold(0.3).detected is False, "tie at the threshold is not a detection"
-    assert out.with_threshold(0.2999).detected is True
-    with pytest.raises(ValueError):
-        out.with_threshold(1.0)
-
-
-# ===== Synthesis =====
-
-
-def test_synthesize_shapes_and_validation():
-    cb = build_omni_codebook(8, 2, 4, 2, 2)
-    sig = make_sync_signal(2, 16, 2)
-    config = ChannelConfig(m_t=8, m_r=4, p=1, beta=(1.0,), f_d=100.0, t_s=1e-3, k=2)
-    paths = sample_paths(config, 1)
-    chan = realize_channel(config, paths, correlation_matrix(config), 2)
-    frame = synthesize(cb, sig, chan, 0.5, "h1", 3)
-    assert frame.hypothesis == "h1"
-    assert all(yk.shape == (2, 16) for yk in frame.y)
-    with pytest.raises(ValueError):
-        synthesize(cb, sig, None, 0.5, "h1", 3)
-    with pytest.raises(ValueError):
-        synthesize(cb, sig, chan, 0.0, "h0", 3)
-    with pytest.raises(ValueError):
-        synthesize(cb, sig, chan, 0.5, "maybe", 3)
-
-
-def test_synthesize_noise_energy():
-    """Unitary combiner keeps the per-entry noise variance at noise_var."""
-    cb = build_omni_codebook(8, 2, 4, 2, 1)
-    sig = make_sync_signal(2, 16, 1)
-    rng = np.random.default_rng(37)
-    energies = [float(np.sum(np.abs(synthesize(cb, sig, None, 0.25, "h0", rng).y[0]) ** 2))
-                for _ in range(400)]
-    mean = np.mean(energies)
-    expected = 0.25 * 2 * 16  # noise_var * N_r * L
-    assert abs(mean - expected) <= 0.1 * expected, f"noise energy {mean:.3f} vs {expected}"
-
-
-def test_synthesize_deterministic_for_seed():
-    cb = build_omni_codebook(8, 2, 4, 2, 1)
-    sig = make_sync_signal(2, 16, 1)
-    a = synthesize(cb, sig, None, 1.0, "h0", 77)
-    b = synthesize(cb, sig, None, 1.0, "h0", 77)
-    assert np.array_equal(a.y[0], b.y[0])
+    x = make_sync_signal(1, 2)
+    batch = np.zeros((3, 1, 1, 2), dtype=np.complex128)
+    batch[0, 0, 0] = [1.0, 0.5]
+    batch[2, 0, 0] = [0.3, -1.0]
+    with pytest.raises(ValueError, match="no energy"):
+        glrt_statistic(batch, x, scalar_codebook().f)
+    with pytest.raises(ValueError, match="no energy"):
+        glrt_statistic(batch[1:2], x, scalar_codebook().f)
 
 
 # ===== Threshold calibration =====
@@ -206,17 +239,62 @@ def test_threshold_rejects_degenerate_dimensions():
 
 
 def test_false_alarm_rate_matches_closed_form():
-    """3000 noise-only frames through the full chain vs the analytic law."""
+    """3000 noise-only frames through the batched statistic vs the analytic law."""
     cb = scalar_codebook()
-    sig = make_sync_signal(1, 8, 1)
+    x = make_sync_signal(1, 8)
     gamma = threshold_from_fa(0.1, 1, 8, 1, 1)
     rng = np.random.default_rng(101)
-    hits = 0
     trials = 3000
-    for _ in range(trials):
-        frame = synthesize(cb, sig, None, 1.0, "h0", rng)
-        if glrt_statistic(frame, cb, sig).with_threshold(gamma).detected:
-            hits += 1
-    rate = hits / trials
+    t = glrt_statistic(_complex_normal(rng, (trials, 1, 1, 8)), x, cb.f)
+    rate = float(np.mean(t > gamma))
     stderr = math.sqrt(0.1 * 0.9 / trials)
     assert abs(rate - 0.1) <= 3 * stderr, f"false alarm rate {rate:.4f} vs 0.1 +- {3 * stderr:.4f}"
+
+
+# ===== The full estimator's frame chain =====
+
+
+@pytest.mark.parametrize("model", ["geometric", "iid", "noise-only"])
+def test_full_drop_matches_per_frame_oracle(model):
+    """One drop of the full estimator, drawn again from its seed in the same
+    order (angles, gain variables, antenna noise), synthesized frame by frame
+    and scored by the loop oracle, gives the same miss counts."""
+    k, m_t, m_r, n, l, frames = 2, 8, 4, 2, 8, 60
+    geometric = model == "geometric"
+    channel = ChannelConfig(m_t=m_t, m_r=m_r, p=2, beta=(0.3, 0.7), f_d=SEC6_DOPPLER_HZ,
+                            t_s=SEC6_SLOT_INTERVAL_S, k=k,
+                            model="iid" if model == "iid" else "geometric")
+    config = ExperimentConfig(
+        approach="random-phase", k=k, m_t=m_t, m_r=m_r, n_t=n, n_r=n, l=l, channel=channel,
+        snr_db_list=(-6.0, 0.0), drops=1, frames_per_drop=frames, estimator="full",
+        master_seed=9)
+    gamma = threshold_from_fa(0.2, k, l, n, n)
+    cb = experiment_codebook(config)
+    x = make_sync_signal(n, l)
+    corr = correlation_matrix(channel)
+    noise_vars = (1.0,) if model == "noise-only" else (10.0 ** 0.6, 1.0)
+    plan = _FullPlan(config=config, gamma=gamma, noise_vars=noise_vars, codebook=cb, x=x,
+                     sqrt_factor=None if model == "noise-only" else corr.sqrt_factor)
+    counts, trials = _full_drop(plan, 0)
+    assert trials == frames
+
+    rng = np.random.default_rng(derive_seed(9, 0))
+    h = [None] * frames
+    if geometric:
+        paths = sample_paths(channel, rng)
+        xi = _complex_normal(rng, (2, k, frames))
+        for c in range(frames):
+            h[c] = [sum(math.sqrt(channel.beta[p]) * (corr.sqrt_factor[s] @ xi[p, :, c])
+                        * np.outer(steering(paths.theta_r[p], m_r),
+                                   steering(paths.theta_t[p], m_t).conj())
+                        for p in range(2)) for s in range(k)]
+    elif model == "iid":
+        xi = _complex_normal(rng, (frames, k, m_r * m_t))
+        for c in range(frames):
+            gains = corr.sqrt_factor @ xi[c]
+            h[c] = [gains[s].reshape((m_r, m_t), order="F") for s in range(k)]
+    z = _complex_normal(rng, (frames, k, m_r, l))
+    want = [sum(loop_glrt_statistic(synthesize_oracle(cb, x, h[c], z[c], nv), cb, x)[0] <= gamma
+                for c in range(frames)) for nv in noise_vars]
+    assert counts.tolist() == want
+    assert 0 < want[-1] < frames, "the counts should not be trivial"

@@ -164,11 +164,12 @@ def test_estimate_fa_hits_target():
 
 
 def test_estimate_fa_explicit_gamma_edges():
-    config = make_config(snr=(), drops=5, frames_per_drop=200)
-    assert estimate_fa(config, gamma=0.0).p_md_hat == 1.0
-    assert estimate_fa(config, gamma=0.9).p_md_hat == 0.0
-    with pytest.raises(ValueError):
-        estimate_fa(config, gamma=1.0)
+    for estimator in ("reduced", "full"):
+        config = make_config(snr=(), drops=5, frames_per_drop=200, estimator=estimator)
+        assert estimate_fa(config, gamma=0.0).p_md_hat == 1.0
+        assert estimate_fa(config, gamma=0.9).p_md_hat == 0.0
+        with pytest.raises(ValueError):
+            estimate_fa(config, gamma=1.0)
 
 
 def test_estimate_fa_full_estimator_route():
@@ -178,6 +179,11 @@ def test_estimate_fa_full_estimator_route():
     row = estimate_fa(config)
     band = 3 * math.sqrt(0.1 * 0.9 / 3000)
     assert abs(row.p_md_hat - 0.1) <= band
+    # Pinned to the last bit, and the same for any worker count.
+    assert results_to_csv([row]).splitlines()[1] == (
+        "random-phase,1,nan,0.28031432699884795,0.1,0.092,0.005276867757802286,"
+        "0.10000000000000002,3000,3")
+    assert estimate_fa(config, workers=2) == row
 
 
 def test_md_nonincreasing_in_snr():
