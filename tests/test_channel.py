@@ -164,6 +164,50 @@ def test_sample_paths_deterministic_and_ordered():
 # ===== Fading realizations =====
 
 
+def test_realize_channel_is_rank_one_per_slot():
+    """One path: every drawn G_k is the path gain times the rank-one
+    (F_k^H u)(W_k^H v)^H of that path's steering vectors."""
+    config = sec6_config(2)
+    cb = build_approach_codebook("random-phase", 4, 2, 4, 2, 2, seed=3)
+    paths = sample_paths(config, 3)
+    corr = correlation_matrix(config)
+    b_mix = _path_mixing(cb, paths)
+    geff = _effective_channels(np.random.default_rng(11), config, cb, corr.sqrt_factor, b_mix, 5)
+    u = steering(float(paths.theta_r[0]), 4)
+    v = steering(float(paths.theta_t[0]), 4)
+    for k in range(2):
+        shape = np.outer(cb.f[k].conj().T @ u, (cb.w[k].conj().T @ v).conj())
+        assert np.max(np.abs(b_mix[k, 0] - shape)) <= 1e-12
+        for g in geff[:, k]:
+            alpha = np.vdot(shape, g) / np.vdot(shape, shape)
+            assert np.max(np.abs(g - alpha * shape)) <= 1e-12
+
+
+def test_realize_channel_gain_moments():
+    """Sample moments of the per-path gains, recovered from the drawn G_k,
+    match beta and the slot correlation."""
+    config = sec6_config(2, p=2, beta=(0.75, 0.25))
+    cb = build_approach_codebook("random-phase", 4, 2, 4, 2, 2, seed=5)
+    paths = sample_paths(config, 5)
+    corr = correlation_matrix(config)
+    b_mix = _path_mixing(cb, paths)
+    geff = _effective_channels(np.random.default_rng(17), config, cb, corr.sqrt_factor,
+                               b_mix, 3000)
+    draws = np.empty((3000, 2, 2), dtype=np.complex128)
+    for k in range(2):
+        basis = b_mix[k].reshape(2, -1).T
+        coef, *_ = np.linalg.lstsq(basis, geff[:, k].reshape(3000, -1).T, rcond=None)
+        assert np.max(np.abs(basis @ coef - geff[:, k].reshape(3000, -1).T)) <= 1e-10
+        draws[:, :, k] = coef.T
+    power = np.mean(np.abs(draws) ** 2, axis=0)
+    assert np.max(np.abs(power[0] - 0.75)) <= 0.06, f"path 0 power {power[0]}"
+    assert np.max(np.abs(power[1] - 0.25)) <= 0.06, f"path 1 power {power[1]}"
+    cross = np.mean(draws[:, 0, 0] * np.conj(draws[:, 0, 1])) / 0.75
+    assert abs(cross.real - corr.psi[0, 1]) <= 0.08
+    assert abs(cross.imag) <= 0.08
+    assert abs(np.mean(draws[:, 0, 0])) <= 0.05
+
+
 def assert_matches_covariance(geff, r):
     """Sample mean and covariance of slot-stacked column-major vec(G_k) (the
     stacking of the analysis covariance R) within 4 sigma of 0 and R, entry
