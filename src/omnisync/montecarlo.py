@@ -10,9 +10,9 @@ count.
 
 Two estimators are provided: "reduced" scores the low-dimensional ratio form
 of the statistic (a weighted signal vector plus white noise over an
-independent chi-square), "full" draws antenna-level frames in batches
-and scores them with detector.glrt_statistic.  Both share the pooling and
-determinism contract.
+independent chi-square), "full" draws post-combining frames (noise F_k^H Z_k
+as C_k w, C_k = cholesky(F_k^H F_k), w ~ CN(0, I)) and scores them with
+detector.glrt_statistic.  Both share the pooling and determinism contract.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _map_drops(task, drops: int, workers: int) -> list:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if workers == 1 or drops <= 1:
         return [task(d) for d in range(drops)]
-    ctx = multiprocessing.get_context("fork")
+    ctx = multiprocessing.get_context()
     with ctx.Pool(processes=min(workers, drops)) as pool:
         return pool.map(task, range(drops), chunksize=max(1, drops // (workers * 4)))
 
@@ -296,8 +296,8 @@ def _full_chunk(k: int, m_r: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class _FullPlan:
-    """One full-estimator run; sqrt_factor None drops the signal term, so
-    every frame is noise only."""
+    """One full-estimator run (sqrt_factor None: noise-only frames); noise_factor
+    stacks the lower Cholesky factors C_k of F_k^H F_k, shape (K, N_r, N_r)."""
 
     config: ExperimentConfig
     gamma: float
@@ -305,6 +305,13 @@ class _FullPlan:
     codebook: Codebook
     x: np.ndarray
     sqrt_factor: np.ndarray | None
+    noise_factor: np.ndarray
+
+
+def _full_plan(config: ExperimentConfig, gamma: float, noise_vars, sqrt_factor) -> _FullPlan:
+    cb = experiment_codebook(config)
+    return _FullPlan(config, gamma, noise_vars, cb, make_sync_signal(config.n_t, config.l),
+                     sqrt_factor, np.linalg.cholesky(np.stack([f.conj().T @ f for f in cb.f])))
 
 
 def _path_mixing(codebook: Codebook, paths) -> np.ndarray:
@@ -337,11 +344,10 @@ def _effective_channels(rng, channel: ChannelConfig, codebook: Codebook,
 
 
 def _full_drop(plan: _FullPlan, drop_index: int):
-    """Misses (T <= gamma) per noise variance over one drop's frames."""
+    """Misses (T <= gamma) per noise variance in one drop; F_k^H Z_k is drawn as C_k w."""
     cfg = plan.config
     cb = plan.codebook
     rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
-    fh = np.stack([f.conj().T for f in cb.f])
     b_mix = None
     if plan.sqrt_factor is not None and cfg.channel.model == "geometric":
         b_mix = _path_mixing(cb, sample_paths(cfg.channel, rng))
@@ -355,8 +361,7 @@ def _full_drop(plan: _FullPlan, drop_index: int):
         if plan.sqrt_factor is not None:
             geff = _effective_channels(rng, cfg.channel, cb, plan.sqrt_factor, b_mix, c)
             ys = np.einsum("ckab,bl->ckal", geff, plan.x)
-        z = _complex_normal(rng, (c, cfg.k, cfg.m_r, cfg.l))
-        yz = np.einsum("kam,ckml->ckal", fh, z)
+        yz = plan.noise_factor @ _complex_normal(rng, (c, cfg.k, cfg.n_r, cfg.l))
         for i, nv in enumerate(plan.noise_vars):
             # T is scale-invariant, so noise-only frames are scored unscaled.
             y = yz if ys is None else ys + math.sqrt(nv) * yz
@@ -365,24 +370,22 @@ def _full_drop(plan: _FullPlan, drop_index: int):
 
 
 def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
-    """Missed-detection sweep through antenna-level frame synthesis.
+    """Missed-detection sweep through post-combining frame synthesis.
 
     Frames are drawn in config-determined chunks (gain variables first, then
-    antenna noise) and scored in batches by detector.glrt_statistic; noise
-    draws are shared across the SNR list.
+    the combined noise F_k^H Z_k, N_r rows per slot) and scored in batches by
+    detector.glrt_statistic; noise draws are shared across the SNR list.
     """
     if not config.snr_db_list:
         return []
     gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
     noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
-    codebook = experiment_codebook(config)
     corr = correlation_matrix(config.channel)
-    plan = _FullPlan(config=config, gamma=gamma, noise_vars=noise_vars, codebook=codebook,
-                     x=make_sync_signal(config.n_t, config.l), sqrt_factor=corr.sqrt_factor)
+    plan = _full_plan(config, gamma, noise_vars, corr.sqrt_factor)
     results = _map_drops(partial(_full_drop, plan), config.drops, workers)
     counts, trials = _merge_counts(results, len(noise_vars))
     asym = _asymptotic_fill(config, gamma, noise_vars,
-                            _prediction_covariance(config, codebook, corr.psi))
+                            _prediction_covariance(config, plan.codebook, corr.psi))
     return _rows_from_counts(config, gamma, counts, trials, asym)
 
 
@@ -418,12 +421,8 @@ def estimate_fa(config: ExperimentConfig, workers: int = 1,
         gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("threshold must be inside [0, 1)")
-    if config.estimator == "reduced":
-        task = partial(_fa_reduced_drop, config, gamma)
-    else:
-        task = partial(_full_drop, _FullPlan(
-            config=config, gamma=gamma, noise_vars=(1.0,), codebook=experiment_codebook(config),
-            x=make_sync_signal(config.n_t, config.l), sqrt_factor=None))
+    task = (partial(_fa_reduced_drop, config, gamma) if config.estimator == "reduced"
+            else partial(_full_drop, _full_plan(config, gamma, (1.0,), None)))
     misses, trials = _merge_counts(_map_drops(task, config.drops, workers), 1)
     p = (trials - int(misses[0])) / trials
     return ResultRow(

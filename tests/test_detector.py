@@ -1,10 +1,12 @@
 """Detector tests: pilot structure, the batched GLRT statistic against a
 per-frame loop oracle and a hand projection oracle, invariances, threshold
 calibration, an end-to-end false-alarm rate check against the closed form,
-and one drop of the full estimator against per-frame synthesis.
+one drop of the full estimator against per-frame synthesis, and the law of
+the combined noise that estimator draws.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +26,9 @@ from omnisync.detector import glrt_statistic, make_sync_signal, threshold_from_f
 from omnisync.montecarlo import (
     ExperimentConfig,
     _full_drop,
-    _FullPlan,
+    _full_plan,
     derive_seed,
+    estimate_fa,
     experiment_codebook,
 )
 
@@ -74,14 +77,14 @@ def loop_glrt_statistic(y, codebook, x):
     return t, scale * (math.log(den / scale) - math.log(resid / scale))
 
 
-def synthesize_oracle(codebook, x, h, z, noise_var):
-    """One frame, slot by slot: Y_k = F_k^H (H_k W_k X + sqrt(noise_var) Z_k)
-    with antenna-level noise Z_k (M_r x L); h None is noise only."""
+def synthesize_oracle(codebook, x, h, n, noise_var):
+    """One frame, slot by slot: Y_k = F_k^H H_k W_k X + sqrt(noise_var) N_k
+    with N_k (N_r x L) the combined noise F_k^H Z_k; h None is noise only."""
     y = []
     for k in range(codebook.k):
-        fk = codebook.f[k]
-        yk = fk.conj().T @ (math.sqrt(noise_var) * z[k])
+        yk = math.sqrt(noise_var) * n[k]
         if h is not None:
+            fk = codebook.f[k]
             yk = yk + fk.conj().T @ (h[k] @ (codebook.w[k] @ x))
         y.append(yk)
     return np.stack(y)
@@ -257,7 +260,8 @@ def test_false_alarm_rate_matches_closed_form():
 @pytest.mark.parametrize("model", ["geometric", "iid", "noise-only"])
 def test_full_drop_matches_per_frame_oracle(model):
     """One drop of the full estimator, drawn again from its seed in the same
-    order (angles, gain variables, antenna noise), synthesized frame by frame
+    order (angles, gain variables, white noise that each slot's Cholesky
+    factor of F_k^H F_k colours into F_k^H Z_k), synthesized frame by frame
     and scored by the loop oracle, gives the same miss counts."""
     k, m_t, m_r, n, l, frames = 2, 8, 4, 2, 8, 60
     geometric = model == "geometric"
@@ -266,15 +270,15 @@ def test_full_drop_matches_per_frame_oracle(model):
                             model="iid" if model == "iid" else "geometric")
     config = ExperimentConfig(
         approach="random-phase", k=k, m_t=m_t, m_r=m_r, n_t=n, n_r=n, l=l, channel=channel,
-        snr_db_list=(-6.0, 0.0), drops=1, frames_per_drop=frames, estimator="full",
+        snr_db_list=(-6.0, -3.0), drops=1, frames_per_drop=frames, estimator="full",
         master_seed=9)
     gamma = threshold_from_fa(0.2, k, l, n, n)
     cb = experiment_codebook(config)
     x = make_sync_signal(n, l)
     corr = correlation_matrix(channel)
-    noise_vars = (1.0,) if model == "noise-only" else (10.0 ** 0.6, 1.0)
-    plan = _FullPlan(config=config, gamma=gamma, noise_vars=noise_vars, codebook=cb, x=x,
-                     sqrt_factor=None if model == "noise-only" else corr.sqrt_factor)
+    noise_vars = (1.0,) if model == "noise-only" else (10.0 ** 0.6, 10.0 ** 0.3)
+    plan = _full_plan(config, gamma, noise_vars,
+                      None if model == "noise-only" else corr.sqrt_factor)
     counts, trials = _full_drop(plan, 0)
     assert trials == frames
 
@@ -293,8 +297,56 @@ def test_full_drop_matches_per_frame_oracle(model):
         for c in range(frames):
             gains = corr.sqrt_factor @ xi[c]
             h[c] = [gains[s].reshape((m_r, m_t), order="F") for s in range(k)]
-    z = _complex_normal(rng, (frames, k, m_r, l))
-    want = [sum(loop_glrt_statistic(synthesize_oracle(cb, x, h[c], z[c], nv), cb, x)[0] <= gamma
-                for c in range(frames)) for nv in noise_vars]
+    w = _complex_normal(rng, (frames, k, n, l))
+    chol = [np.linalg.cholesky(f.conj().T @ f) for f in cb.f]
+    noise = [[chol[s] @ w[c, s] for s in range(k)] for c in range(frames)]
+    want = [sum(loop_glrt_statistic(synthesize_oracle(cb, x, h[c], noise[c], nv), cb, x)[0]
+                <= gamma for c in range(frames)) for nv in noise_vars]
     assert counts.tolist() == want
     assert 0 < want[-1] < frames, "the counts should not be trivial"
+
+
+def test_full_drop_noise_has_combiner_covariance(monkeypatch):
+    """The combined noise the statistic sees has i.i.d. CN(0, F_k^H F_k)
+    columns: per slot the combiner Gram, nothing across columns or slots, no
+    pseudo-covariance.  The codebook's Grams differ between slots and are not
+    multiples of I, so a white, transposed, unconjugated or shared factor
+    fails; the noise-only full route then meets the closed-form false alarm."""
+    k, m, n, l = 3, 8, 2, 4
+    channel = ChannelConfig(m_t=m, m_r=m, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
+                            t_s=SEC6_SLOT_INTERVAL_S, k=k)
+    config = ExperimentConfig(
+        approach="random-phase", k=k, m_t=m, m_r=m, n_t=1, n_r=n, l=l, channel=channel,
+        snr_db_list=(), p_fa_target=0.1, drops=1, frames_per_drop=20000, estimator="full",
+        master_seed=12)
+    grams = [f.conj().T @ f for f in experiment_codebook(config).f]
+    for g in grams:
+        assert abs(g[0, 1]) > 0.1 * abs(g[0, 0]), "the Gram should not be a multiple of I"
+    assert np.max(np.abs(grams[1] - grams[0])) > 0.1 * abs(grams[0][0, 0])
+
+    seen = []
+
+    def record(y, x, f):
+        seen.append(y.copy())
+        return np.ones(y.shape[0])
+
+    with monkeypatch.context() as patch:
+        patch.setattr("omnisync.montecarlo.glrt_statistic", record)
+        _full_drop(_full_plan(config, 0.5, (1.0,), None), 0)
+    v = np.concatenate(seen).reshape(config.frames_per_drop, -1)  # (frames, K*N_r*L)
+    want = np.zeros((v.shape[1],) * 2, dtype=np.complex128)
+    for s in range(k):
+        for col in range(l):
+            idx = s * n * l + np.arange(n) * l + col
+            want[np.ix_(idx, idx)] = grams[s]
+    cov = v.T @ v.conj() / len(v)
+    pseudo = v.T @ v / len(v)
+    sigma = np.sqrt(np.outer(want.diagonal().real, want.diagonal().real) / len(v))
+    assert np.max(np.abs(cov - want) / sigma) <= 4.0
+    assert np.max(np.abs(pseudo) / sigma) <= 4.0
+
+    row = estimate_fa(replace(config, drops=10, frames_per_drop=500))
+    exact = fa_closed_form(row.gamma, k, l, n, 1)
+    band = 3 * math.sqrt(exact * (1.0 - exact) / row.trials)
+    assert abs(row.p_md_hat - exact) <= band, (
+        f"fa {row.p_md_hat:.4f} vs closed form {exact:.4f} +- {band:.4f}")

@@ -7,10 +7,13 @@ reproducible run to run.
 """
 
 import math
+import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from omnisync import montecarlo
 from omnisync.analysis import covariance_from_eigenvalues, fa_closed_form
 from omnisync.channel import SEC6_DOPPLER_HZ, SEC6_SLOT_INTERVAL_S, ChannelConfig
 from omnisync.codebook import zc_precoder
@@ -181,8 +184,8 @@ def test_estimate_fa_full_estimator_route():
     assert abs(row.p_md_hat - 0.1) <= band
     # Pinned to the last bit, and the same for any worker count.
     assert results_to_csv([row]).splitlines()[1] == (
-        "random-phase,1,nan,0.28031432699884795,0.1,0.092,0.005276867757802286,"
-        "0.10000000000000002,3000,3")
+        "random-phase,1,nan,0.28031432699884795,0.1,0.10566666666666667,"
+        "0.005612522374780113,0.10000000000000002,3000,3")
     assert estimate_fa(config, workers=2) == row
 
 
@@ -268,6 +271,30 @@ def test_worker_count_does_not_change_multipath_results():
         snr_db_list=(-10.0, -4.0), drops=12, frames_per_drop=200, master_seed=4)
     serial = results_to_csv(run_md_reduced(config, workers=1))
     assert serial == results_to_csv(run_md_reduced(config, workers=2))
+
+
+def test_spawned_workers_match_serial(monkeypatch):
+    """Workers started by spawn import omnisync afresh and receive the run
+    only by pickling; a reduced P=4 run and a full run still give the serial
+    CSV bytes.  The configs stay tiny: spawn start-up dominates."""
+    spawn = multiprocessing.get_context("spawn")
+    started = []
+
+    def get_context():
+        started.append(spawn)
+        return spawn
+
+    channel = ChannelConfig(m_t=8, m_r=4, p=4, beta=(0.1, 0.2, 0.3, 0.4),
+                            f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S, k=2)
+    reduced = ExperimentConfig(
+        approach="quasi-omni-zc", k=2, m_t=8, m_r=4, n_t=1, n_r=2, l=8, channel=channel,
+        snr_db_list=(-6.0, 0.0), drops=4, frames_per_drop=50, master_seed=8)
+    full = make_config(m_t=8, m_r=4, l=8, snr=(-6.0, 0.0), drops=4, frames_per_drop=50,
+                       estimator="full", master_seed=8)
+    serial = [results_to_csv(sweep(c, workers=1)) for c in (reduced, full)]
+    monkeypatch.setattr(montecarlo, "multiprocessing", SimpleNamespace(get_context=get_context))
+    assert [results_to_csv(sweep(c, workers=2)) for c in (reduced, full)] == serial
+    assert len(started) == 2, "both runs should go through a spawn pool"
 
 
 @pytest.mark.parametrize("workers", [0, -1])
