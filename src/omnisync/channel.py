@@ -51,12 +51,13 @@ class ChannelConfig:
             raise ValueError("need at least one path")
         if len(self.beta) != self.p:
             raise ValueError(f"beta needs {self.p} entries, got {len(self.beta)}")
-        if any(b < 0 for b in self.beta):
-            raise ValueError("path gains must be nonnegative")
+        if not all(0 <= b < math.inf for b in self.beta):
+            raise ValueError(f"path gains must be finite and nonnegative, got {self.beta!r}")
         if abs(sum(self.beta) - 1.0) > 1e-12:
             raise ValueError(f"path gains must sum to 1, got {sum(self.beta)!r}")
-        if self.f_d < 0 or self.t_s <= 0:
-            raise ValueError("Doppler must be nonnegative and the slot interval positive")
+        if not (0 <= self.f_d < math.inf and 0 < self.t_s < math.inf):
+            raise ValueError("Doppler must be finite and nonnegative and the slot interval "
+                             f"finite and positive, got f_d={self.f_d!r}, t_s={self.t_s!r}")
         if self.model not in ("geometric", "iid"):
             raise ValueError(f"unknown channel model {self.model!r}")
 

@@ -88,11 +88,21 @@ def _check_int(doc, key, errors, minimum=1):
     return val
 
 
+def _is_finite_number(val) -> bool:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _check_number(doc, key, errors, path="$"):
+    """The field as a float, or None after recording an error."""
     val = doc.get(key)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        errors.append(f"{path}.{key}: expected a number, got {val!r}")
-        return 0.0
+    if not _is_finite_number(val):
+        errors.append(f"{path}.{key}: expected a finite number, got {val!r}")
+        return None
     return float(val)
 
 
@@ -128,17 +138,15 @@ def experiment_config_from_doc(doc: dict) -> ExperimentConfig:
         zc_root = 1
 
     pfa = _check_number(doc, "p_fa_target", errors)
-    if not 0.0 < pfa < 1.0:
+    if pfa is not None and not 0.0 < pfa < 1.0:
         errors.append(f"$.p_fa_target: must be inside (0, 1), got {doc.get('p_fa_target')!r}")
-        pfa = 0.01
     estimator = doc.get("estimator", "reduced")
     if estimator not in ("reduced", "full"):
         errors.append(f"$.estimator: expected 'reduced' or 'full', got {estimator!r}")
         estimator = "reduced"
     snr = doc.get("snr_db")
-    if not isinstance(snr, list) or any(
-            not isinstance(s, (int, float)) or isinstance(s, bool) for s in snr):
-        errors.append(f"$.snr_db: expected a list of numbers, got {snr!r}")
+    if not isinstance(snr, list) or not all(_is_finite_number(s) for s in snr):
+        errors.append(f"$.snr_db: expected a list of finite numbers, got {snr!r}")
         snr = []
 
     chan_doc = doc.get("channel")
@@ -160,8 +168,9 @@ def experiment_config_from_doc(doc: dict) -> ExperimentConfig:
         if beta is None:
             beta = list(uniform_gains(paths))
         if (not isinstance(beta, list) or len(beta) != paths
-                or any(not isinstance(b, (int, float)) or isinstance(b, bool) for b in beta)):
-            errors.append(f"$.channel.beta: expected a list of {paths} numbers, got {beta!r}")
+                or not all(_is_finite_number(b) for b in beta)):
+            errors.append(
+                f"$.channel.beta: expected a list of {paths} finite numbers, got {beta!r}")
             beta = list(uniform_gains(paths))
         doppler = _check_number(chan_doc, "doppler_hz", errors, path="$.channel")
         slot_interval = _check_number(chan_doc, "slot_interval_s", errors, path="$.channel")

@@ -12,7 +12,9 @@ Two estimators are provided: "reduced" scores the low-dimensional ratio form
 of the statistic (a weighted signal vector plus white noise over an
 independent chi-square), "full" draws post-combining frames (noise F_k^H Z_k
 as C_k w, C_k = cholesky(F_k^H F_k), w ~ CN(0, I)) and scores them with
-detector.glrt_statistic.  Both share the pooling and determinism contract.
+detector.glrt_statistic.  Both draw the signal as g = S w through the same
+covariance factor S of the drop, and share the pooling and determinism
+contract.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import numpy as np
 
 from .analysis import (
     EffectiveCovariance,
-    _path_vectors,
     asymptotic_md,
     build_R_general,
     build_R_iid,
+    covariance_from_eigenvalues,
     fa_closed_form,
     hermitian_eigenvalues,
     path_factor,
@@ -88,6 +90,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
+        if not all(math.isfinite(s) for s in self.snr_db_list):
+            raise ValueError(f"SNR points must be finite, got {self.snr_db_list!r}")
         if self.approach not in NAMED_DESIGNS:
             raise ValueError(f"unknown approach {self.approach!r}")
         if self.estimator not in ("reduced", "full"):
@@ -192,7 +196,7 @@ def _prediction_covariance(config, codebook, psi) -> EffectiveCovariance | None:
     return None
 
 
-# ===== Reduced estimator =====
+# ===== Signal factors and the shared run =====
 
 
 def _cov_factor(cov: EffectiveCovariance) -> np.ndarray:
@@ -204,47 +208,83 @@ def _cov_factor(cov: EffectiveCovariance) -> np.ndarray:
     return v[:, :r] * np.sqrt(np.maximum(w[:r], 0.0))
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """One run of either estimator.  fixed_factor is the run's signal factor
+    (the i.i.d. model, a fixed covariance, or a (q, 0) factor for noise-only
+    frames); when it is None every drop factors its own path angles."""
+
+    config: ExperimentConfig
+    gamma: float
+    noise_vars: tuple[float, ...]
+    codebook: Codebook
+    sqrt_psi: np.ndarray
+    fixed_factor: np.ndarray | None
+
+
+def _plan(config: ExperimentConfig, gamma: float, noise_vars,
+          fixed_cov: EffectiveCovariance | None) -> _Plan:
+    """The plan of run_md_reduced, run_md_full and the full estimate_fa route;
+    fixed_cov None means build_R_iid for the i.i.d. model, else per-drop factors."""
+    codebook = experiment_codebook(config)
+    corr = correlation_matrix(config.channel)
+    if fixed_cov is None and config.channel.model == "iid":
+        fixed_cov = build_R_iid(codebook, corr.psi)
+    return _Plan(config, gamma, noise_vars, codebook, corr.sqrt_factor,
+                 None if fixed_cov is None else _cov_factor(fixed_cov))
+
+
+def _drop_factor(plan: _Plan, rng: np.random.Generator) -> np.ndarray:
+    """The drop's signal factor S (S S^H = R): slot-major rows, one per entry
+    of vec(G_k), N_r receive streams within each of N_t transmit streams."""
+    if plan.fixed_factor is not None:
+        return plan.fixed_factor
+    cfg = plan.config
+    paths = sample_paths(cfg.channel, rng)
+    return path_factor(plan.codebook, paths, cfg.channel.beta, plan.sqrt_psi)
+
+
+def _run_md(drop, config: ExperimentConfig, workers: int,
+            cov_override: EffectiveCovariance | None = None) -> list[ResultRow]:
+    if not config.snr_db_list:
+        return []
+    gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
+    noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
+    plan = _plan(config, gamma, noise_vars, cov_override)
+    results = _map_drops(partial(drop, plan), config.drops, workers)
+    counts, trials = _merge_counts(results, len(noise_vars))
+    pred_cov = cov_override if cov_override is not None else _prediction_covariance(
+        config, plan.codebook, correlation_matrix(config.channel).psi)
+    asym = _asymptotic_fill(config, gamma, noise_vars, pred_cov)
+    return _rows_from_counts(config, gamma, counts, trials, asym)
+
+
+# ===== Reduced estimator =====
+
+
 def _reduced_chunk(q: int) -> int:
     return min(1 << 16, max(1, (1 << 20) // max(q, 1)))
 
 
-@dataclass(frozen=True)
-class _ReducedPlan:
-    config: ExperimentConfig
-    t_ratio: float
-    noise_vars: tuple[float, ...]
-    codebook: Codebook | None
-    sqrt_psi: np.ndarray | None
-    fixed_factor: np.ndarray | None
-
-
-def _reduced_drop(plan: _ReducedPlan, drop_index: int):
+def _reduced_drop(plan: _Plan, drop_index: int):
     cfg = plan.config
     rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
     q = cfg.k * cfg.n_r * cfg.n_t
     d_dim = cfg.k * cfg.n_r * (cfg.l - cfg.n_t)
-    if plan.fixed_factor is not None:
-        factor = plan.fixed_factor
-    else:
-        paths = sample_paths(cfg.channel, rng)
-        factor = path_factor(plan.codebook, paths, cfg.channel.beta, plan.sqrt_psi)
-    r = factor.shape[1]
-    amp_factor = math.sqrt(cfg.l / cfg.n_t) * factor
+    t_ratio = plan.gamma / (1.0 - plan.gamma)
+    amp_factor = math.sqrt(cfg.l / cfg.n_t) * _drop_factor(plan, rng)
     counts = np.zeros(len(plan.noise_vars), dtype=np.int64)
     chunk = _reduced_chunk(q)
     remaining = cfg.frames_per_drop
     while remaining > 0:
         c = min(chunk, remaining)
         remaining -= c
-        if r > 0:
-            g = amp_factor @ _complex_normal(rng, (r, c))
-        else:
-            g = np.zeros((q, c), dtype=np.complex128)
+        g = amp_factor @ _complex_normal(rng, (amp_factor.shape[1], c))
         z2 = _complex_normal(rng, (q, c))
         y1 = rng.gamma(d_dim, 1.0, size=c)
         for i, nv in enumerate(plan.noise_vars):
             num = np.sum(np.abs(g + math.sqrt(nv) * z2) ** 2, axis=0)
-            counts[i] += int(np.sum(num < plan.t_ratio * nv * y1))
+            counts[i] += int(np.sum(num < t_ratio * nv * y1))
     return counts, cfg.frames_per_drop
 
 
@@ -257,34 +297,16 @@ def run_md_reduced(
 
     Per frame the squared noise norm in the denominator is drawn directly as
     a Gamma(K*N_r*(L-N_t)) variate; the numerator draws the signal vector
-    through a covariance factor and shares its noise draw across the SNR
-    list (common random numbers).  Geometric drops use the explicit factor
+    g = S w through the drop's covariance factor S (the same draw as the
+    full estimator's) and shares its noise draw across the SNR list (common
+    random numbers).  Geometric drops use the explicit factor
     analysis.path_factor of their angles; a fixed covariance (the i.i.d.
     model or cov_override) is factored once per run.
 
     cov_override injects a fixed effective covariance for diagnostics (e.g.
     a zero matrix turns the run into a noise-only calibration).
     """
-    if not config.snr_db_list:
-        return []
-    gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
-    noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
-    codebook = experiment_codebook(config)
-    corr = correlation_matrix(config.channel)
-    fixed_cov = cov_override
-    if fixed_cov is None and config.channel.model == "iid":
-        fixed_cov = build_R_iid(codebook, corr.psi)
-    plan = _ReducedPlan(
-        config=config, t_ratio=gamma / (1.0 - gamma), noise_vars=noise_vars,
-        codebook=None if fixed_cov is not None else codebook,
-        sqrt_psi=None if fixed_cov is not None else corr.sqrt_factor,
-        fixed_factor=_cov_factor(fixed_cov) if fixed_cov is not None else None)
-    results = _map_drops(partial(_reduced_drop, plan), config.drops, workers)
-    counts, trials = _merge_counts(results, len(noise_vars))
-    pred_cov = fixed_cov if cov_override is not None else _prediction_covariance(
-        config, codebook, corr.psi)
-    asym = _asymptotic_fill(config, gamma, noise_vars, pred_cov)
-    return _rows_from_counts(config, gamma, counts, trials, asym)
+    return _run_md(_reduced_drop, config, workers, cov_override)
 
 
 # ===== Full estimator =====
@@ -294,63 +316,22 @@ def _full_chunk(k: int, m_r: int, l: int) -> int:
     return min(4096, max(1, (1 << 19) // (k * m_r * l)))
 
 
-@dataclass(frozen=True)
-class _FullPlan:
-    """One full-estimator run (sqrt_factor None: noise-only frames); noise_factor
-    stacks the lower Cholesky factors C_k of F_k^H F_k, shape (K, N_r, N_r)."""
-
-    config: ExperimentConfig
-    gamma: float
-    noise_vars: tuple[float, ...]
-    codebook: Codebook
-    x: np.ndarray
-    sqrt_factor: np.ndarray | None
-    noise_factor: np.ndarray
+def _effective_channels(g: np.ndarray, k: int, n_t: int, n_r: int) -> np.ndarray:
+    """G_k = F_k^H H_k W_k, shape (c, K, N_r, N_t), read from the columns
+    g = [vec(G_k)]_k; copied contiguous, since the pilot product of a strided
+    view is strided too and slows every sum over the SNR list."""
+    return np.ascontiguousarray(g.T.reshape(g.shape[1], k, n_t, n_r).swapaxes(2, 3))
 
 
-def _full_plan(config: ExperimentConfig, gamma: float, noise_vars, sqrt_factor) -> _FullPlan:
-    cb = experiment_codebook(config)
-    return _FullPlan(config, gamma, noise_vars, cb, make_sync_signal(config.n_t, config.l),
-                     sqrt_factor, np.linalg.cholesky(np.stack([f.conj().T @ f for f in cb.f])))
-
-
-def _path_mixing(codebook: Codebook, paths) -> np.ndarray:
-    """(K, P, N_r, N_t) stack of F_k^H u_p v_p^H W_k: the path vectors a_kp
-    unstacked column-major into N_r x N_t matrices."""
-    a = _path_vectors(codebook, paths.theta_r, paths.theta_t)
-    return a.reshape(codebook.k, codebook.n_t, codebook.n_r, -1).transpose(0, 3, 2, 1)
-
-
-def _effective_channels(rng, channel: ChannelConfig, codebook: Codebook,
-                        sqrt_factor: np.ndarray, b_mix: np.ndarray | None, c: int) -> np.ndarray:
-    """c draws of the effective channels G_k = F_k^H H_k W_k, shape (c, K, N_r, N_t).
-
-    Under the geometric model b_mix is the drop's path mixing (_path_mixing)
-    and the P path gains are drawn; under the i.i.d. model b_mix is unused
-    and every antenna pair gets its own gain trajectory.  With sqrt_factor
-    the slot-correlation factor, the slot-stacked column-major vec(G_k) has
-    the covariance of analysis.build_R_general or build_R_iid.
-    """
-    if channel.model == "geometric":
-        xi = _complex_normal(rng, (channel.p, channel.k, c))
-        alpha = np.einsum("kj,pjc->pkc", sqrt_factor, xi) * np.sqrt(
-            np.asarray(channel.beta))[:, None, None]
-        return np.einsum("pkc,kpab->ckab", alpha, b_mix)
-    xi = _complex_normal(rng, (c, channel.k, channel.m_r * channel.m_t))
-    gains = np.einsum("kj,cjm->ckm", sqrt_factor, xi)
-    h = gains.reshape(c, channel.k, channel.m_t, channel.m_r).swapaxes(2, 3)
-    fh = np.stack([f.conj().T for f in codebook.f])
-    return np.einsum("kam,ckmt,ktb->ckab", fh, h, np.stack(codebook.w))
-
-
-def _full_drop(plan: _FullPlan, drop_index: int):
-    """Misses (T <= gamma) per noise variance in one drop; F_k^H Z_k is drawn as C_k w."""
+def _full_drop(plan: _Plan, drop_index: int):
+    """Misses (T <= gamma) per noise variance in one drop: G_k is read from
+    g = S w, F_k^H Z_k is drawn as C_k w with C_k = cholesky(F_k^H F_k)."""
     cfg = plan.config
     cb = plan.codebook
     rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
-    b_mix = None
-    if plan.sqrt_factor is not None and cfg.channel.model == "geometric":
-        b_mix = _path_mixing(cb, sample_paths(cfg.channel, rng))
+    factor = _drop_factor(plan, rng)
+    x = make_sync_signal(cfg.n_t, cfg.l)
+    noise_factor = np.linalg.cholesky(np.stack([f.conj().T @ f for f in cb.f]))
     counts = np.zeros(len(plan.noise_vars), dtype=np.int64)
     chunk = _full_chunk(cfg.k, cfg.m_r, cfg.l)
     remaining = cfg.frames_per_drop
@@ -358,35 +339,26 @@ def _full_drop(plan: _FullPlan, drop_index: int):
         c = min(chunk, remaining)
         remaining -= c
         ys = None
-        if plan.sqrt_factor is not None:
-            geff = _effective_channels(rng, cfg.channel, cb, plan.sqrt_factor, b_mix, c)
-            ys = np.einsum("ckab,bl->ckal", geff, plan.x)
-        yz = plan.noise_factor @ _complex_normal(rng, (c, cfg.k, cfg.n_r, cfg.l))
+        if factor.shape[1] > 0:
+            g = factor @ _complex_normal(rng, (factor.shape[1], c))
+            ys = np.einsum("ckab,bl->ckal", _effective_channels(g, cfg.k, cfg.n_t, cfg.n_r), x)
+        yz = noise_factor @ _complex_normal(rng, (c, cfg.k, cfg.n_r, cfg.l))
         for i, nv in enumerate(plan.noise_vars):
-            # T is scale-invariant, so noise-only frames are scored unscaled.
+            # T is scale-invariant, so signal-free frames are scored unscaled.
             y = yz if ys is None else ys + math.sqrt(nv) * yz
-            counts[i] += int(np.sum(glrt_statistic(y, plan.x, cb.f) <= plan.gamma))
+            counts[i] += int(np.sum(glrt_statistic(y, x, cb.f) <= plan.gamma))
     return counts, cfg.frames_per_drop
 
 
 def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Missed-detection sweep through post-combining frame synthesis.
 
-    Frames are drawn in config-determined chunks (gain variables first, then
-    the combined noise F_k^H Z_k, N_r rows per slot) and scored in batches by
+    Frames are drawn in config-determined chunks (the signal g = S w through
+    the same factor as the reduced estimator, then the combined noise
+    F_k^H Z_k, N_r rows per slot) and scored in batches by
     detector.glrt_statistic; noise draws are shared across the SNR list.
     """
-    if not config.snr_db_list:
-        return []
-    gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
-    noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
-    corr = correlation_matrix(config.channel)
-    plan = _full_plan(config, gamma, noise_vars, corr.sqrt_factor)
-    results = _map_drops(partial(_full_drop, plan), config.drops, workers)
-    counts, trials = _merge_counts(results, len(noise_vars))
-    asym = _asymptotic_fill(config, gamma, noise_vars,
-                            _prediction_covariance(config, plan.codebook, corr.psi))
-    return _rows_from_counts(config, gamma, counts, trials, asym)
+    return _run_md(_full_drop, config, workers)
 
 
 # ===== False alarm =====
@@ -421,8 +393,11 @@ def estimate_fa(config: ExperimentConfig, workers: int = 1,
         gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("threshold must be inside [0, 1)")
-    task = (partial(_fa_reduced_drop, config, gamma) if config.estimator == "reduced"
-            else partial(_full_drop, _full_plan(config, gamma, (1.0,), None)))
+    if config.estimator == "reduced":
+        task = partial(_fa_reduced_drop, config, gamma)
+    else:
+        no_signal = covariance_from_eigenvalues((0.0,) * (config.k * config.n_r * config.n_t))
+        task = partial(_full_drop, _plan(config, gamma, (1.0,), no_signal))
     misses, trials = _merge_counts(_map_drops(task, config.drops, workers), 1)
     p = (trials - int(misses[0])) / trials
     return ResultRow(

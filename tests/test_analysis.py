@@ -42,7 +42,6 @@ from omnisync.codebook import build_approach_codebook, build_omni_codebook
 from omnisync.detector import threshold_from_fa
 from omnisync.montecarlo import (
     ExperimentConfig,
-    _path_mixing,
     _prediction_covariance,
     derive_seed,
     run_md_reduced,
@@ -175,20 +174,6 @@ def test_path_factor_matches_loop_oracle(design, k, p, f_d):
     assert s.shape == (k * cb.n_t * cb.n_r, p * k)
     want = loop_covariance_oracle(cb, paths, beta, corr.psi)
     assert max_rel_err(s @ s.conj().T, want) <= 1e-12
-
-
-@pytest.mark.parametrize("p", [1, 4])
-@pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
-def test_full_estimator_mixing_matches_loop_vectors(design, p):
-    """The full estimator's F_k^H u_p v_p^H W_k is a_kp unstacked column-major."""
-    cb, paths, _, _ = oracle_case(design, 8, p)
-    b_mix = _path_mixing(cb, paths)
-    assert b_mix.shape == (8, p, cb.n_r, cb.n_t)
-    for i in range(p):
-        vectors = loop_path_vectors(cb, float(paths.theta_r[i]), float(paths.theta_t[i]))
-        for k, a in enumerate(vectors):
-            want = a.reshape(cb.n_r, cb.n_t, order="F")
-            assert np.max(np.abs(b_mix[k, i] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_single_path_reduced_form_shares_spectrum():

@@ -1,5 +1,6 @@
 """Channel model tests: Bessel J0, slot correlation, path sampling, and the
-geometric / i.i.d. fading laws.
+geometric / i.i.d. fading laws of the effective channels G_k = F_k^H H_k W_k,
+drawn as g = S w through the covariance factor S that both estimators use.
 
 J0 gets two independent checks: frozen literature values and a direct
 numerical evaluation of its integral representation.
@@ -10,12 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from omnisync.analysis import build_R_general, build_R_iid
+from omnisync.analysis import build_R_general, build_R_iid, path_factor
 from omnisync.channel import (
     SEC6_DOPPLER_HZ,
     SEC6_SLOT_INTERVAL_S,
     ChannelConfig,
     PathSet,
+    _complex_normal,
     bessel_j0,
     correlation_matrix,
     sample_paths,
@@ -23,7 +25,7 @@ from omnisync.channel import (
     uniform_gains,
 )
 from omnisync.codebook import build_approach_codebook
-from omnisync.montecarlo import _effective_channels, _path_mixing
+from omnisync.montecarlo import _cov_factor, _effective_channels
 
 
 def sec6_config(k, m_t=4, m_r=4, p=1, beta=None, model="geometric"):
@@ -118,6 +120,11 @@ def test_zero_doppler_collapses_to_rank_one():
     dict(beta=(0.7,)),              # does not sum to 1
     dict(beta=(-1.0,)),
     dict(model="rayleigh-ish"),
+    dict(beta=(math.nan,)),
+    dict(f_d=math.nan),
+    dict(f_d=math.inf),
+    dict(t_s=math.nan),
+    dict(t_s=math.inf),
 ])
 def test_channel_config_rejects_bad_values(kwargs):
     base = dict(m_t=4, m_r=4, p=1, beta=(1.0,), f_d=100.0, t_s=1e-3, k=2)
@@ -164,22 +171,36 @@ def test_sample_paths_deterministic_and_ordered():
 # ===== Fading realizations =====
 
 
+def draw_effective_channels(seed, factor, codebook, frames):
+    """frames draws of G_k, shape (frames, K, N_r, N_t), as the estimators
+    draw them: g = S w, read slot by slot."""
+    w = _complex_normal(np.random.default_rng(seed), (factor.shape[1], frames))
+    return _effective_channels(factor @ w, codebook.k, codebook.n_t, codebook.n_r)
+
+
+def path_shape(codebook, paths, slot, p):
+    """(F_k^H u_p)(W_k^H v_p)^H: the N_r x N_t mixing of path p in slot k."""
+    u = steering(float(paths.theta_r[p]), codebook.m_r)
+    v = steering(float(paths.theta_t[p]), codebook.m_t)
+    return np.outer(codebook.f[slot].conj().T @ u, (codebook.w[slot].conj().T @ v).conj())
+
+
 def test_realize_channel_is_rank_one_per_slot():
     """One path: every drawn G_k is the path gain times the rank-one
-    (F_k^H u)(W_k^H v)^H of that path's steering vectors."""
+    (F_k^H u)(W_k^H v)^H of that path's steering vectors.  N_t != N_r, so a
+    factor row order other than vec(G_k) column by column fails."""
     config = sec6_config(2)
-    cb = build_approach_codebook("random-phase", 4, 2, 4, 2, 2, seed=3)
+    cb = build_approach_codebook("random-phase", 4, 3, 4, 2, 2, seed=3)
     paths = sample_paths(config, 3)
     corr = correlation_matrix(config)
-    b_mix = _path_mixing(cb, paths)
-    geff = _effective_channels(np.random.default_rng(11), config, cb, corr.sqrt_factor, b_mix, 5)
-    u = steering(float(paths.theta_r[0]), 4)
-    v = steering(float(paths.theta_t[0]), 4)
+    geff = draw_effective_channels(11, path_factor(cb, paths, config.beta, corr.sqrt_factor),
+                                   cb, 5)
+    assert geff.shape == (5, 2, 2, 3)
     for k in range(2):
-        shape = np.outer(cb.f[k].conj().T @ u, (cb.w[k].conj().T @ v).conj())
-        assert np.max(np.abs(b_mix[k, 0] - shape)) <= 1e-12
+        shape = path_shape(cb, paths, k, 0)
         for g in geff[:, k]:
             alpha = np.vdot(shape, g) / np.vdot(shape, shape)
+            assert abs(alpha) > 1e-3
             assert np.max(np.abs(g - alpha * shape)) <= 1e-12
 
 
@@ -190,12 +211,11 @@ def test_realize_channel_gain_moments():
     cb = build_approach_codebook("random-phase", 4, 2, 4, 2, 2, seed=5)
     paths = sample_paths(config, 5)
     corr = correlation_matrix(config)
-    b_mix = _path_mixing(cb, paths)
-    geff = _effective_channels(np.random.default_rng(17), config, cb, corr.sqrt_factor,
-                               b_mix, 3000)
+    geff = draw_effective_channels(17, path_factor(cb, paths, config.beta, corr.sqrt_factor),
+                                   cb, 3000)
     draws = np.empty((3000, 2, 2), dtype=np.complex128)
     for k in range(2):
-        basis = b_mix[k].reshape(2, -1).T
+        basis = np.stack([path_shape(cb, paths, k, p).ravel() for p in range(2)], axis=1)
         coef, *_ = np.linalg.lstsq(basis, geff[:, k].reshape(3000, -1).T, rcond=None)
         assert np.max(np.abs(basis @ coef - geff[:, k].reshape(3000, -1).T)) <= 1e-10
         draws[:, :, k] = coef.T
@@ -228,8 +248,8 @@ def test_geometric_effective_channel_covariance():
     cb = build_approach_codebook("random-phase", 8, 2, 8, 2, 3, seed=4)
     paths = PathSet(theta_r=np.array([0.12, 0.57]), theta_t=np.array([0.33, 0.81]))
     corr = correlation_matrix(config)
-    geff = _effective_channels(np.random.default_rng(47), config, cb, corr.sqrt_factor,
-                               _path_mixing(cb, paths), 20000)
+    geff = draw_effective_channels(47, path_factor(cb, paths, config.beta, corr.sqrt_factor),
+                                   cb, 20000)
     assert geff.shape == (20000, 3, 2, 2)
     assert_matches_covariance(geff, build_R_general(cb, paths, config.beta, corr.psi).matrix)
 
@@ -237,8 +257,7 @@ def test_geometric_effective_channel_covariance():
 def test_iid_effective_channel_covariance():
     config = sec6_config(2, m_t=4, m_r=4, model="iid")
     cb = build_approach_codebook("random-phase", 4, 2, 4, 2, 2, seed=6)
-    corr = correlation_matrix(config)
-    geff = _effective_channels(np.random.default_rng(53), config, cb, corr.sqrt_factor,
-                               None, 20000)
+    cov = build_R_iid(cb, correlation_matrix(config).psi)
+    geff = draw_effective_channels(53, _cov_factor(cov), cb, 20000)
     assert geff.shape == (20000, 2, 2, 2)
-    assert_matches_covariance(geff, build_R_iid(cb, corr.psi).matrix)
+    assert_matches_covariance(geff, cov.matrix)

@@ -216,6 +216,40 @@ def test_simulate_reports_every_schema_violation(tmp_path, capsys):
     err = capsys.readouterr().err
     for needle in ("$.approach", "$.drops", "$.p_fa_target", "$.channel.model", "$.zz"):
         assert needle in err, f"expected {needle} in the error listing"
+    assert err.count("$.p_fa_target") == 1
+    assert not out.exists()
+    assert not (tmp_path / "run.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", ["missing", "0.01", math.nan])
+def test_simulate_reports_one_error_per_bad_p_fa_target(tmp_path, capsys, value):
+    """A non-number is reported once as such, not again as out of range."""
+    config_path = tmp_path / "broken.json"
+    doc = write_config(config_path, p_fa_target=value)
+    if value == "missing":
+        del doc["p_fa_target"]
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("simulate", "--config", str(config_path),
+                   "--out", str(tmp_path / "run.csv")) == 1
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "$.p_fa_target" in ln]
+    assert len(lines) == 1, lines
+    assert "expected a finite number" in lines[0]
+
+
+def test_simulate_rejects_non_finite_numbers(tmp_path, capsys):
+    """NaN, Infinity and integers beyond the float range parse as JSON
+    numbers; each is reported under its path before any drop runs."""
+    config_path = tmp_path / "broken.json"
+    write_config(config_path, snr_db=[-4.0, math.nan, math.inf, 10**400],
+                 channel={"model": "geometric", "paths": 1, "beta": [math.nan],
+                          "doppler_hz": math.nan, "slot_interval_s": math.inf})
+    assert "NaN" in config_path.read_text(encoding="utf-8")
+    out = tmp_path / "run.csv"
+    assert run_cli("simulate", "--config", str(config_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    for needle in ("$.snr_db", "$.channel.beta", "$.channel.doppler_hz",
+                   "$.channel.slot_interval_s"):
+        assert needle in err, f"expected {needle} in the error listing"
     assert not out.exists()
     assert not (tmp_path / "run.csv.manifest.json").exists()
 

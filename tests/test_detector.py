@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omnisync.analysis import fa_closed_form
+from omnisync.analysis import build_R_iid, covariance_from_eigenvalues, fa_closed_form
 from omnisync.channel import (
     SEC6_DOPPLER_HZ,
     SEC6_SLOT_INTERVAL_S,
@@ -25,8 +25,9 @@ from omnisync.codebook import Codebook, build_approach_codebook, build_omni_code
 from omnisync.detector import glrt_statistic, make_sync_signal, threshold_from_fa
 from omnisync.montecarlo import (
     ExperimentConfig,
+    _cov_factor,
     _full_drop,
-    _full_plan,
+    _plan,
     derive_seed,
     estimate_fa,
     experiment_codebook,
@@ -262,7 +263,10 @@ def test_full_drop_matches_per_frame_oracle(model):
     """One drop of the full estimator, drawn again from its seed in the same
     order (angles, gain variables, white noise that each slot's Cholesky
     factor of F_k^H F_k colours into F_k^H Z_k), synthesized frame by frame
-    and scored by the loop oracle, gives the same miss counts."""
+    and scored by the loop oracle, gives the same miss counts.  The i.i.d.
+    model draws the effective channels through the eigen-factor of
+    build_R_iid, one column per frame; the minimum-norm antenna channel
+    pinv(F_k^H) G_k pinv(W_k) reproduces them."""
     k, m_t, m_r, n, l, frames = 2, 8, 4, 2, 8, 60
     geometric = model == "geometric"
     channel = ChannelConfig(m_t=m_t, m_r=m_r, p=2, beta=(0.3, 0.7), f_d=SEC6_DOPPLER_HZ,
@@ -277,8 +281,8 @@ def test_full_drop_matches_per_frame_oracle(model):
     x = make_sync_signal(n, l)
     corr = correlation_matrix(channel)
     noise_vars = (1.0,) if model == "noise-only" else (10.0 ** 0.6, 10.0 ** 0.3)
-    plan = _full_plan(config, gamma, noise_vars,
-                      None if model == "noise-only" else corr.sqrt_factor)
+    no_signal = covariance_from_eigenvalues((0.0,) * (k * n * n))
+    plan = _plan(config, gamma, noise_vars, no_signal if model == "noise-only" else None)
     counts, trials = _full_drop(plan, 0)
     assert trials == frames
 
@@ -293,10 +297,13 @@ def test_full_drop_matches_per_frame_oracle(model):
                                    steering(paths.theta_t[p], m_t).conj())
                         for p in range(2)) for s in range(k)]
     elif model == "iid":
-        xi = _complex_normal(rng, (frames, k, m_r * m_t))
+        factor = _cov_factor(build_R_iid(cb, corr.psi))
+        g = factor @ _complex_normal(rng, (factor.shape[1], frames))
         for c in range(frames):
-            gains = corr.sqrt_factor @ xi[c]
-            h[c] = [gains[s].reshape((m_r, m_t), order="F") for s in range(k)]
+            slots = g[:, c].reshape(k, n * n)
+            h[c] = [np.linalg.pinv(cb.f[s].conj().T)
+                    @ slots[s].reshape((n, n), order="F") @ np.linalg.pinv(cb.w[s])
+                    for s in range(k)]
     w = _complex_normal(rng, (frames, k, n, l))
     chol = [np.linalg.cholesky(f.conj().T @ f) for f in cb.f]
     noise = [[chol[s] @ w[c, s] for s in range(k)] for c in range(frames)]
@@ -332,7 +339,7 @@ def test_full_drop_noise_has_combiner_covariance(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr("omnisync.montecarlo.glrt_statistic", record)
-        _full_drop(_full_plan(config, 0.5, (1.0,), None), 0)
+        _full_drop(_plan(config, 0.5, (1.0,), covariance_from_eigenvalues((0.0,) * (k * n))), 0)
     v = np.concatenate(seen).reshape(config.frames_per_drop, -1)  # (frames, K*N_r*L)
     want = np.zeros((v.shape[1],) * 2, dtype=np.complex128)
     for s in range(k):

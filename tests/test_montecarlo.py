@@ -75,6 +75,8 @@ def test_derive_seed_distinct_and_in_range():
     dict(frames_per_drop=0),
     dict(p_fa_target=1.5),
     dict(n_t=16, l=16),          # signal occupies the whole slot
+    dict(snr=(math.nan,)),
+    dict(snr=(0.0, math.inf)),
 ])
 def test_experiment_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -114,7 +116,7 @@ def test_experiment_codebook_dispatch():
 # ===== Estimator agreement (reduced vs full) =====
 
 
-@pytest.mark.parametrize("k,n,l,snr", [
+AGREEMENT_CASES = [
     (1, 1, 8, 0.0),
     (1, 1, 64, -8.0),
     (1, 2, 8, -2.0),
@@ -123,11 +125,18 @@ def test_experiment_codebook_dispatch():
     (2, 1, 64, -8.0),
     (2, 2, 8, -2.0),
     (2, 2, 64, -10.0),
+]
+
+
+@pytest.mark.parametrize("k,n,l,snr,model", [
+    *(pytest.param(*case, "geometric", id="-".join(map(str, case))) for case in AGREEMENT_CASES),
+    pytest.param(2, 1, 8, 0.0, "iid", id="iid-2-1-8-0.0"),
+    pytest.param(2, 2, 8, -2.0, "iid", id="iid-2-2-8--2.0"),
 ])
-def test_reduced_and_full_estimators_agree(k, n, l, snr):
+def test_reduced_and_full_estimators_agree(k, n, l, snr, model):
     """Same drop population, two samplers, 3 sigma agreement on 8000 frames."""
     approach = "omni-golay" if n == 2 else "random-phase"
-    kwargs = dict(approach=approach, k=k, m_t=8, m_r=8, n_t=n, n_r=n, l=l,
+    kwargs = dict(approach=approach, k=k, m_t=8, m_r=8, n_t=n, n_r=n, l=l, model=model,
                   snr=(snr,), drops=20, frames_per_drop=400, master_seed=7)
     red = run_md_reduced(make_config(**kwargs))[0]
     ful = run_md_full(make_config(estimator="full", **kwargs))[0]
@@ -187,6 +196,25 @@ def test_estimate_fa_full_estimator_route():
         "random-phase,1,nan,0.28031432699884795,0.1,0.10566666666666667,"
         "0.005612522374780113,0.10000000000000002,3000,3")
     assert estimate_fa(config, workers=2) == row
+
+
+def test_full_estimator_geometric_csv_is_pinned():
+    """Two paths, drops sampling their own path factors: pinned to the last
+    bit, and the same for any worker count."""
+    channel = ChannelConfig(m_t=8, m_r=8, p=2, beta=(0.4, 0.6), f_d=SEC6_DOPPLER_HZ,
+                            t_s=SEC6_SLOT_INTERVAL_S, k=2)
+    config = ExperimentConfig(
+        approach="random-phase", k=2, m_t=8, m_r=8, n_t=2, n_r=2, l=8, channel=channel,
+        snr_db_list=(-6.0, 0.0), drops=4, frames_per_drop=300, estimator="full",
+        master_seed=21)
+    text = results_to_csv(run_md_full(config))
+    assert text.splitlines()[1:] == [
+        "random-phase,2,-6.0,0.4442916979599707,0.01,0.7833333333333333,"
+        "0.01189265257144869,,1200,21",
+        "random-phase,2,0.0,0.4442916979599707,0.01,0.29083333333333333,"
+        "0.013110088531215047,,1200,21",
+    ]
+    assert results_to_csv(run_md_full(config, workers=2)) == text
 
 
 def test_md_nonincreasing_in_snr():
