@@ -1,4 +1,4 @@
-"""Detection-error analysis: effective covariances, the exact and the
+"""Detection-error analysis: effective-covariance factors, the exact and the
 asymptotic missed detection, the generalized-F tail law, and the closed-form
 false alarm.
 
@@ -10,9 +10,11 @@ detection of the ratio detector at threshold gamma reduces to the event
     || sqrt(L/N_t) g + z2 ||^2 / || z1 ||^2  <  gamma / (1 - gamma)
 
 with z2 of dimension K*N_r*N_t and z1 of dimension K*N_r*(L - N_t), both
-white with variance noise_var.  Given the eigenvalues of R the event has
-an exact law (md_exact), whose low-noise tail is governed by the nonzero
-eigenvalues (asymptotic_md).
+white with variance noise_var.  The precoders and combiners enter only
+through the spectrum of R, the squared singular values of a factor S with
+S S^H = R (path_factor; the i.i.d. model's R comes from build_R_iid).  Given
+the spectrum the event has an exact law (md_exact), whose low-noise tail is
+governed by the nonzero eigenvalues (asymptotic_md).
 """
 
 from __future__ import annotations
@@ -26,28 +28,7 @@ import numpy as np
 from .channel import PathSet
 from .codebook import Codebook
 
-HERMITIAN_TOL = 1e-10
 RANK_REL_TOL = 1e-10
-
-
-# ===== Eigenvalue utilities =====
-
-
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, descending.
-
-    Raises ValueError when the matrix deviates from Hermitian symmetry by
-    more than HERMITIAN_TOL (relative to the largest entry magnitude, with an
-    absolute floor of the same size).
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if dev > HERMITIAN_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian (worst asymmetry {dev:.3e})")
-    return np.linalg.eigvalsh(h)[::-1].copy()
 
 
 def _numerical_rank(eigs: np.ndarray, dim: int) -> int:
@@ -55,38 +36,6 @@ def _numerical_rank(eigs: np.ndarray, dim: int) -> int:
         return 0
     cut = dim * max(float(eigs[0]), 0.0) * RANK_REL_TOL
     return int(np.sum(eigs > cut))
-
-
-@dataclass(frozen=True)
-class EffectiveCovariance:
-    """Effective signal covariance with its spectrum precomputed.
-
-    eigs are descending; rank counts eigenvalues above
-    dim * max_eig * RANK_REL_TOL.
-    """
-
-    matrix: np.ndarray
-    eigs: np.ndarray
-    rank: int
-    model_tag: str
-
-
-def _make_covariance(matrix: np.ndarray, model_tag: str) -> EffectiveCovariance:
-    matrix = np.ascontiguousarray(matrix)
-    eigs = hermitian_eigenvalues(matrix)
-    matrix.setflags(write=False)
-    eigs.setflags(write=False)
-    return EffectiveCovariance(matrix=matrix, eigs=eigs,
-                               rank=_numerical_rank(eigs, matrix.shape[0]),
-                               model_tag=model_tag)
-
-
-def covariance_from_eigenvalues(eigs, model_tag: str = "eigs") -> EffectiveCovariance:
-    """Wraps an explicit spectrum (e.g. from a config file) as a covariance."""
-    arr = np.sort(np.asarray(eigs, dtype=np.float64))[::-1].copy()
-    if arr.size and arr[-1] < 0:
-        raise ValueError("eigenvalues must be nonnegative")
-    return _make_covariance(np.diag(arr).astype(np.complex128), model_tag)
 
 
 # ===== Effective covariance builders =====
@@ -108,18 +57,6 @@ def _path_vectors(codebook: Codebook, theta_r, theta_t) -> np.ndarray:
     return a.reshape(-1, theta_r.shape[0])
 
 
-def build_R_general(codebook: Codebook, paths: PathSet, beta, psi: np.ndarray) -> EffectiveCovariance:
-    """Effective covariance for a P-path geometric channel.
-
-    Block (k, l) is psi[k, l] * sum_p beta_p * a_kp a_lp^H with a_kp the
-    per-slot mean direction of path p.
-    """
-    q0 = codebook.n_t * codebook.n_r
-    a = _path_vectors(codebook, paths.theta_r, paths.theta_t)
-    r = np.kron(psi, np.ones((q0, q0))) * ((a * np.asarray(beta, dtype=np.float64)) @ a.conj().T)
-    return _make_covariance(r, "general")
-
-
 def path_factor(codebook: Codebook, paths: PathSet, beta, sqrt_psi: np.ndarray) -> np.ndarray:
     """Explicit factor S of the P-path effective covariance, S S^H = R.
 
@@ -136,7 +73,7 @@ def path_factor(codebook: Codebook, paths: PathSet, beta, sqrt_psi: np.ndarray) 
     return (a[:, :, None] * rows[:, None, :]).reshape(a.shape[0], -1)
 
 
-def build_R_iid(codebook: Codebook, psi: np.ndarray) -> EffectiveCovariance:
+def build_R_iid(codebook: Codebook, psi: np.ndarray) -> np.ndarray:
     """Effective covariance for the entrywise independent channel.
 
     Block (k, l) is psi[k, l] * (W_k^T W_l^*) kron (F_k^H F_l); with
@@ -151,7 +88,7 @@ def build_R_iid(codebook: Codebook, psi: np.ndarray) -> EffectiveCovariance:
             tx = codebook.w[i].T @ codebook.w[j].conj()
             rx = codebook.f[i].conj().T @ codebook.f[j]
             r[i * q0:(i + 1) * q0, j * q0:(j + 1) * q0] = psi[i, j] * np.kron(tx, rx)
-    return _make_covariance(r, "iid")
+    return r
 
 
 # ===== Asymptotic missed detection =====
@@ -211,7 +148,7 @@ def _log_md_coefficient(r: int, q: int, d: int, gamma: float) -> float:
 
 
 def asymptotic_md(
-    cov: EffectiveCovariance,
+    eigs,
     gamma: float,
     noise_var: float,
     k: int,
@@ -224,7 +161,8 @@ def asymptotic_md(
     value = (N_t * noise_var * gamma / (L * (1 - gamma)))^r * prod_m 1/lambda_m
             * gamma^(q-r) * sum_{j<d} h_j(1^r, (1-gamma)^(q-r))
 
-    over the r nonzero eigenvalues lambda_m of cov, with q = K*N_r*N_t and
+    over the r nonzero eigenvalues lambda_m of the spectrum eigs (those above
+    q * max(eigs) * RANK_REL_TOL, in any order), with q = K*N_r*N_t and
     d = K*N_r*(L - N_t): it is md_exact with every 1 - a_i of the signal
     terms replaced by its first order in noise_var.  At r = q the sum is
     C(K*L*N_r - 1, r).  The ratio to md_exact tends to 1 as noise_var goes
@@ -235,17 +173,17 @@ def asymptotic_md(
         raise ValueError(f"threshold must be inside (0, 1), got {gamma!r}")
     if noise_var <= 0:
         raise ValueError("noise variance must be positive")
-    r = cov.rank
-    if r == 0:
-        raise ValueError("covariance has rank 0; the asymptote is undefined")
     q = k * n_r * n_t
+    lams = np.sort(np.asarray(eigs, dtype=np.float64))[::-1]
+    r = _numerical_rank(lams, q)
+    if r == 0:
+        raise ValueError("spectrum has rank 0; the asymptote is undefined")
     d = k * n_r * (l - n_t)
     if d < 1:
         raise ValueError("signal dimension must be below the observation dimension")
     if r > q:
         raise ValueError(f"rank {r} exceeds the signal dimension {q}")
-    lams = cov.eigs[:r]
-    log_lam_sum = float(np.sum(np.log(lams)))
+    log_lam_sum = float(np.sum(np.log(lams[:r])))
     log_scale = math.log(n_t) + math.log(noise_var) + math.log(gamma) \
         - math.log(l) - math.log1p(-gamma)
     log_value = r * log_scale + _log_md_coefficient(r, q, d, gamma) - log_lam_sum

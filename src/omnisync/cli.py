@@ -19,7 +19,6 @@ from . import __version__
 from .analysis import (
     GeneralizedFRatio,
     asymptotic_md,
-    covariance_from_eigenvalues,
     fa_closed_form,
     fa_closed_form_log,
     lemma1_cdf,
@@ -249,7 +248,16 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
+def _number_list(doc: dict, key: str) -> list[float]:
+    value = doc[key]
+    if not isinstance(value, list) or not all(_is_finite_number(v) for v in value):
+        raise ValueError(f"analytic config field {key!r}: expected a list of finite numbers")
+    return [float(v) for v in value]
+
+
 def _analytic_rows(doc: dict, quantity: str) -> list[str]:
+    if not isinstance(doc, dict):
+        raise ValueError("analytic config: expected a JSON object")
     rows = []
 
     def fmt(value):
@@ -257,23 +265,25 @@ def _analytic_rows(doc: dict, quantity: str) -> list[str]:
 
     if quantity == "fa":
         k, l, nr, nt = (int(doc[key]) for key in ("k", "l", "nr", "nt"))
-        for gamma in doc["gamma"]:
-            val = fa_closed_form(float(gamma), k, l, nr, nt)
-            logv = fa_closed_form_log(float(gamma), k, l, nr, nt)
+        for gamma in _number_list(doc, "gamma"):
+            val = fa_closed_form(gamma, k, l, nr, nt)
+            logv = fa_closed_form_log(gamma, k, l, nr, nt)
             rows.append(f"fa,{k},{l},{nr},{nt},{fmt(gamma)},,{fmt(val)},{fmt(logv)}")
     elif quantity == "md-asym":
         k, l, nr, nt = (int(doc[key]) for key in ("k", "l", "nr", "nt"))
-        cov = covariance_from_eigenvalues(doc["eigenvalues"])
-        for gamma in doc["gamma"]:
-            for nv in doc["noise_var"]:
-                pred = asymptotic_md(cov, float(gamma), float(nv), k, l, nr, nt)
+        eigs = _number_list(doc, "eigenvalues")
+        if any(v < 0 for v in eigs):
+            raise ValueError("analytic config field 'eigenvalues': must be nonnegative")
+        for gamma in _number_list(doc, "gamma"):
+            for nv in _number_list(doc, "noise_var"):
+                pred = asymptotic_md(eigs, gamma, nv, k, l, nr, nt)
                 rows.append(f"md-asym,{k},{l},{nr},{nt},{fmt(gamma)},{fmt(nv)},"
                             f"{fmt(pred.value)},{fmt(pred.log_value)}")
     elif quantity == "lemma1":
-        ratio = GeneralizedFRatio(lam=tuple(float(v) for v in doc["lambda"]),
-                                  sigma=tuple(float(v) for v in doc["sigma"]))
-        for t in doc["t"]:
-            val = lemma1_cdf(ratio, float(t))
+        ratio = GeneralizedFRatio(lam=tuple(_number_list(doc, "lambda")),
+                                  sigma=tuple(_number_list(doc, "sigma")))
+        for t in _number_list(doc, "t"):
+            val = lemma1_cdf(ratio, t)
             logv = math.log(val) if val > 0 else -math.inf
             # The ratio threshold t rides in the gamma column.
             rows.append(f"lemma1,,,,,{fmt(t)},,{fmt(val)},{fmt(logv)}")

@@ -584,10 +584,13 @@ def _matrix_to_pairs(mat: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _matrix_from_pairs(pairs: list[list[float]], rows: int, cols: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+def _matrix_from_pairs(pairs: list[list[float]], rows: int, cols: int, key: str) -> np.ndarray:
+    try:
+        flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"codebook field {key!r}: entries must be [re, im] numbers") from exc
     if flat.size != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {flat.size}")
+        raise ValueError(f"codebook field {key!r}: expected {rows * cols} entries, got {flat.size}")
     return _freeze(flat.reshape(rows, cols))
 
 
@@ -616,11 +619,13 @@ def codebook_to_json(cb: Codebook) -> str:
 def codebook_from_json(text: str) -> Codebook:
     """Parses the interchange JSON document back into a Codebook."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("codebook document: expected a JSON object")
     try:
         mt, nt, mr, nr, k = (int(doc[key]) for key in ("mt", "nt", "mr", "nr", "k"))
         design = str(doc["design"])
-        w = tuple(_matrix_from_pairs(p, mt, nt) for p in doc["w"])
-        f = tuple(_matrix_from_pairs(p, mr, nr) for p in doc["f"])
+        w = tuple(_matrix_from_pairs(p, mt, nt, "w") for p in doc["w"])
+        f = tuple(_matrix_from_pairs(p, mr, nr, "f") for p in doc["f"])
     except KeyError as exc:
         raise ValueError(f"codebook document missing field {exc}") from exc
     schedules = doc.get("schedules")

@@ -1,12 +1,12 @@
 """Deterministic parallel Monte Carlo for missed detection and false alarm.
 
 Experiments run as drops x frames: a drop fixes the path angles (and hence
-the effective covariance), frames are independent fading/noise realizations
-inside the drop, and missed-detection counts are pooled over all drops and
-frames per SNR point.  Per-drop seeds come from a fixed 64-bit mix of the
-master seed and the drop index, and the per-drop frame stream is chunked by
-a config-determined size, so results are byte-identical for any worker
-count.
+the factor S of the effective covariance R = S S^H), frames are independent
+fading/noise realizations inside the drop, and missed-detection counts are
+pooled over all drops and frames per SNR point.  Per-drop seeds come from a
+fixed 64-bit mix of the master seed and the drop index, and the per-drop
+frame stream is chunked by a config-determined size, so results are
+byte-identical for any worker count.
 
 Two estimators are provided: "reduced" scores the low-dimensional ratio form
 of the statistic (a weighted signal vector plus white noise over an
@@ -14,7 +14,9 @@ independent chi-square), "full" draws post-combining frames (noise F_k^H Z_k
 as C_k w, C_k = cholesky(F_k^H F_k), w ~ CN(0, I)) and scores them with
 detector.glrt_statistic.  Both draw the signal as g = S w through the same
 covariance factor S of the drop, and share the pooling and determinism
-contract.
+contract.  Where R's spectrum does not depend on the drop (the i.i.d. model,
+or one path through the flat design), a fixed factor's squared singular
+values give the p_md_asym column.
 """
 
 from __future__ import annotations
@@ -26,16 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .analysis import (
-    EffectiveCovariance,
-    asymptotic_md,
-    build_R_general,
-    build_R_iid,
-    covariance_from_eigenvalues,
-    fa_closed_form,
-    hermitian_eigenvalues,
-    path_factor,
-)
+from .analysis import _numerical_rank, asymptotic_md, build_R_iid, fa_closed_form, path_factor
 from .channel import ChannelConfig, PathSet, _complex_normal, correlation_matrix, sample_paths
 from .codebook import NAMED_DESIGNS, Codebook, build_approach_codebook
 from .detector import glrt_statistic, make_sync_signal, threshold_from_fa
@@ -167,52 +160,23 @@ def _rows_from_counts(config, gamma, counts, trials, asym) -> list:
     return rows
 
 
-def _asymptotic_fill(config, gamma, noise_vars, cov: EffectiveCovariance | None):
-    """Analytic MD predictions per SNR point, or None where undefined."""
-    if cov is None or cov.rank == 0:
-        return [None] * len(noise_vars)
-    out = []
-    for nv in noise_vars:
-        pred = asymptotic_md(cov, gamma, nv, config.k, config.l, config.n_r, config.n_t)
-        out.append(pred.value)
-    return out
-
-
-def _prediction_covariance(config, codebook, psi) -> EffectiveCovariance | None:
-    """Drop-independent effective covariance, when one exists.
-
-    The i.i.d. model has a fixed covariance.  Under the geometric model the
-    spectrum is angle-free only for a single path through the flat design,
-    and the single-path analysis additionally needs a full-rank slot
-    correlation.
-    """
-    if config.channel.model == "iid":
-        return build_R_iid(codebook, psi)
-    if config.channel.p == 1 and config.approach == "omni-golay":
-        psi_eigs = hermitian_eigenvalues(psi)
-        full_rank = int(np.sum(psi_eigs > config.k * psi_eigs[0] * 1e-10)) == config.k
-        if full_rank:
-            return build_R_general(codebook, PathSet(np.zeros(1), np.zeros(1)), (1.0,), psi)
-    return None
-
-
 # ===== Signal factors and the shared run =====
 
 
-def _cov_factor(cov: EffectiveCovariance) -> np.ndarray:
-    """Tall factor S with S S^H = cov (columns spanning the numerical rank)."""
-    w, v = np.linalg.eigh(cov.matrix)
+def _cov_factor(r: np.ndarray) -> np.ndarray:
+    """Tall factor S with S S^H = r (columns spanning the numerical rank)."""
+    w, v = np.linalg.eigh(r)
     w = w[::-1]
     v = v[:, ::-1]
-    r = cov.rank
-    return v[:, :r] * np.sqrt(np.maximum(w[:r], 0.0))
+    rank = _numerical_rank(w, r.shape[0])
+    return v[:, :rank] * np.sqrt(np.maximum(w[:rank], 0.0))
 
 
 @dataclass(frozen=True)
 class _Plan:
     """One run of either estimator.  fixed_factor is the run's signal factor
-    (the i.i.d. model, a fixed covariance, or a (q, 0) factor for noise-only
-    frames); when it is None every drop factors its own path angles."""
+    (the i.i.d. model's, or a (q, 0) factor for noise-only frames); when it is
+    None every drop factors its own path angles."""
 
     config: ExperimentConfig
     gamma: float
@@ -223,15 +187,31 @@ class _Plan:
 
 
 def _plan(config: ExperimentConfig, gamma: float, noise_vars,
-          fixed_cov: EffectiveCovariance | None) -> _Plan:
+          fixed_factor: np.ndarray | None) -> _Plan:
     """The plan of run_md_reduced, run_md_full and the full estimate_fa route;
-    fixed_cov None means build_R_iid for the i.i.d. model, else per-drop factors."""
+    fixed_factor None means the eigen-factor of build_R_iid for the i.i.d.
+    model, else per-drop factors."""
     codebook = experiment_codebook(config)
     corr = correlation_matrix(config.channel)
-    if fixed_cov is None and config.channel.model == "iid":
-        fixed_cov = build_R_iid(codebook, corr.psi)
-    return _Plan(config, gamma, noise_vars, codebook, corr.sqrt_factor,
-                 None if fixed_cov is None else _cov_factor(fixed_cov))
+    if fixed_factor is None and config.channel.model == "iid":
+        fixed_factor = _cov_factor(build_R_iid(codebook, corr.psi))
+    return _Plan(config, gamma, noise_vars, codebook, corr.sqrt_factor, fixed_factor)
+
+
+def _prediction_spectrum(plan: _Plan) -> np.ndarray | None:
+    """Drop-independent spectrum of the effective covariance, when one exists:
+    the squared singular values of the run's fixed factor, or, for a single
+    path through the flat design, of path_factor at angle 0 (every angle
+    gives the same spectrum).  That single-path spectrum has the rank of psi,
+    and its analysis needs it full (rank K)."""
+    cfg = plan.config
+    if plan.fixed_factor is not None:
+        return np.linalg.svd(plan.fixed_factor, compute_uv=False) ** 2
+    if cfg.channel.p != 1 or cfg.approach != "omni-golay":
+        return None
+    factor = path_factor(plan.codebook, PathSet(np.zeros(1), np.zeros(1)), (1.0,), plan.sqrt_psi)
+    eigs = np.linalg.svd(factor, compute_uv=False) ** 2
+    return eigs if _numerical_rank(eigs, factor.shape[0]) == cfg.k else None
 
 
 def _drop_factor(plan: _Plan, rng: np.random.Generator) -> np.ndarray:
@@ -244,18 +224,18 @@ def _drop_factor(plan: _Plan, rng: np.random.Generator) -> np.ndarray:
     return path_factor(plan.codebook, paths, cfg.channel.beta, plan.sqrt_psi)
 
 
-def _run_md(drop, config: ExperimentConfig, workers: int,
-            cov_override: EffectiveCovariance | None = None) -> list[ResultRow]:
+def _run_md(drop, config: ExperimentConfig, workers: int) -> list[ResultRow]:
     if not config.snr_db_list:
         return []
     gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
     noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
-    plan = _plan(config, gamma, noise_vars, cov_override)
+    plan = _plan(config, gamma, noise_vars, None)
     results = _map_drops(partial(drop, plan), config.drops, workers)
     counts, trials = _merge_counts(results, len(noise_vars))
-    pred_cov = cov_override if cov_override is not None else _prediction_covariance(
-        config, plan.codebook, correlation_matrix(config.channel).psi)
-    asym = _asymptotic_fill(config, gamma, noise_vars, pred_cov)
+    eigs = _prediction_spectrum(plan)
+    asym = [None if eigs is None else
+            asymptotic_md(eigs, gamma, nv, config.k, config.l, config.n_r, config.n_t).value
+            for nv in noise_vars]
     return _rows_from_counts(config, gamma, counts, trials, asym)
 
 
@@ -288,11 +268,7 @@ def _reduced_drop(plan: _Plan, drop_index: int):
     return counts, cfg.frames_per_drop
 
 
-def run_md_reduced(
-    config: ExperimentConfig,
-    workers: int = 1,
-    cov_override: EffectiveCovariance | None = None,
-) -> list[ResultRow]:
+def run_md_reduced(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Missed-detection sweep through the reduced ratio form.
 
     Per frame the squared noise norm in the denominator is drawn directly as
@@ -300,13 +276,10 @@ def run_md_reduced(
     g = S w through the drop's covariance factor S (the same draw as the
     full estimator's) and shares its noise draw across the SNR list (common
     random numbers).  Geometric drops use the explicit factor
-    analysis.path_factor of their angles; a fixed covariance (the i.i.d.
-    model or cov_override) is factored once per run.
-
-    cov_override injects a fixed effective covariance for diagnostics (e.g.
-    a zero matrix turns the run into a noise-only calibration).
+    analysis.path_factor of their angles; the i.i.d. model's fixed
+    covariance is factored once per run.
     """
-    return _run_md(_reduced_drop, config, workers, cov_override)
+    return _run_md(_reduced_drop, config, workers)
 
 
 # ===== Full estimator =====
@@ -396,7 +369,7 @@ def estimate_fa(config: ExperimentConfig, workers: int = 1,
     if config.estimator == "reduced":
         task = partial(_fa_reduced_drop, config, gamma)
     else:
-        no_signal = covariance_from_eigenvalues((0.0,) * (config.k * config.n_r * config.n_t))
+        no_signal = np.zeros((config.k * config.n_r * config.n_t, 0))
         task = partial(_full_drop, _plan(config, gamma, (1.0,), no_signal))
     misses, trials = _merge_counts(_map_drops(task, config.drops, workers), 1)
     p = (trials - int(misses[0])) / trials

@@ -1,13 +1,14 @@
-"""Analysis tests: eigen helpers, effective-covariance builders, the exact
-and the low-noise asymptotic missed detection, the small-threshold ratio
-law, and the closed-form false alarm.
+"""Analysis tests: effective-covariance factors and spectra, the exact and
+the low-noise asymptotic missed detection, the small-threshold ratio law,
+and the closed-form false alarm.
 
-Hand oracles use 2x2 trace/determinant algebra, exact polynomial identities,
-an independent binomial-tail summation, and a slot-by-slot loop of outer
-products for the effective covariance.
+Hand oracles use exact polynomial identities, an independent binomial-tail
+summation, and a slot-by-slot loop of outer products for the effective
+covariance.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,16 +16,13 @@ import pytest
 from omnisync.analysis import (
     _log_comb,
     _log_comb_row,
-    _make_covariance,
+    _numerical_rank,
     _path_vectors,
     GeneralizedFRatio,
     asymptotic_md,
-    build_R_general,
     build_R_iid,
-    covariance_from_eigenvalues,
     fa_closed_form,
     fa_closed_form_log,
-    hermitian_eigenvalues,
     lemma1_cdf,
     md_exact,
     path_factor,
@@ -36,16 +34,21 @@ from omnisync.channel import (
     PathSet,
     correlation_matrix,
     sample_paths,
-    steering,
 )
 from omnisync.codebook import build_approach_codebook, build_omni_codebook
 from omnisync.detector import threshold_from_fa
 from omnisync.montecarlo import (
     ExperimentConfig,
-    _prediction_covariance,
+    _merge_counts,
+    _plan,
+    _Plan,
+    _prediction_spectrum,
+    _reduced_drop,
     derive_seed,
+    experiment_codebook,
     run_md_reduced,
 )
+from oracles import loop_covariance_oracle, loop_path_vectors
 
 
 def sec6_psi(k):
@@ -54,81 +57,20 @@ def sec6_psi(k):
     return correlation_matrix(config).psi
 
 
-# ===== Eigen helpers =====
-
-
-def test_hermitian_eigenvalues_hand_2x2():
-    h = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
-    eigs = hermitian_eigenvalues(h)
-    # trace 5, determinant 4 -> roots 4 and 1.
-    assert np.allclose(eigs, [4.0, 1.0], atol=1e-12)
-
-
-def test_hermitian_eigenvalues_trace_det_property():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = a + a.conj().T
-        eigs = hermitian_eigenvalues(h)
-        assert eigs[0] >= eigs[1]
-        tr = float(np.trace(h).real)
-        det = float(np.linalg.det(h).real)
-        disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-        assert abs(eigs[0] - 0.5 * (tr + disc)) <= 1e-10
-        assert abs(eigs[1] - 0.5 * (tr - disc)) <= 1e-10
-
-
-def test_hermitian_eigenvalues_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[1.0, 2.0], [0.5, 1.0]]))
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.ones((2, 3)))
-
-
-def test_covariance_from_eigenvalues():
-    cov = covariance_from_eigenvalues((2.0, 0.0, 3.0))
-    assert cov.rank == 2
-    assert cov.eigs.tolist() == [3.0, 2.0, 0.0]
-    with pytest.raises(ValueError):
-        covariance_from_eigenvalues((1.0, -0.5))
-
-
 # ===== Effective covariance builders =====
 
 
-def loop_path_vectors(codebook, theta_r, theta_t):
-    """Per-slot a_k = (W_k^T v*) kron (F_k^H u) of one path, slot by slot."""
-    u = steering(theta_r, codebook.m_r)
-    v = steering(theta_t, codebook.m_t)
-    return [np.kron(wk.T @ v.conj(), fk.conj().T @ u) for wk, fk in zip(codebook.w, codebook.f)]
-
-
-def loop_covariance_oracle(codebook, paths, beta, psi):
-    """Effective covariance by the K x K x P loop of outer products: block
-    (k, l) is psi[k, l] * sum_p beta_p * a_kp a_lp^H."""
-    k = codebook.k
-    q0 = codebook.n_t * codebook.n_r
-    r = np.zeros((k * q0, k * q0), dtype=np.complex128)
-    for p, b in enumerate(beta):
-        a = loop_path_vectors(codebook, float(paths.theta_r[p]), float(paths.theta_t[p]))
-        for i in range(k):
-            for j in range(k):
-                r[i * q0:(i + 1) * q0, j * q0:(j + 1) * q0] += (
-                    psi[i, j] * b * np.outer(a[i], a[j].conj()))
-    return r
-
-
 def build_R_single_path(codebook, theta_r, theta_t, psi):
-    """Effective covariance for one path at unit gain, plus the K x K
-    reduced matrix psi * diag(a_k^H a_k), which shares the nonzero
-    eigenvalues of the K*N_r*N_t covariance.  For constant-power designs
-    like omni-golay a_k^H a_k = N_r * N_t at every angle, so the spectrum
-    does not depend on the path direction."""
+    """Effective covariance for one path at unit gain, its descending
+    spectrum, and the K x K reduced matrix psi * diag(a_k^H a_k), which
+    shares the nonzero eigenvalues of the K*N_r*N_t covariance.  For
+    constant-power designs like omni-golay a_k^H a_k = N_r * N_t at every
+    angle, so the spectrum does not depend on the path direction."""
     q0 = codebook.n_t * codebook.n_r
     a = _path_vectors(codebook, theta_r, theta_t)
     norms = np.sum(np.abs(a.reshape(codebook.k, q0)) ** 2, axis=1)
     r = np.kron(psi, np.ones((q0, q0))) * (a @ a.conj().T)
-    return _make_covariance(r, "single-path"), psi * norms[None, :]
+    return r, np.linalg.eigvalsh(r)[::-1], psi * norms[None, :]
 
 
 ORACLE_DESIGNS = {"omni-golay": 2, "quasi-omni-zc": 1, "dft-sweep": 1, "random-phase": 1}
@@ -151,13 +93,19 @@ def max_rel_err(got, want):
 @pytest.mark.parametrize("k", [1, 8])
 @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
 def test_batched_builders_match_loop_oracle(design, k, p):
+    """The batched path vectors, one column per path, and the single-path
+    covariance built from them."""
     cb, paths, beta, corr = oracle_case(design, k, p)
-    want = loop_covariance_oracle(cb, paths, beta, corr.psi)
-    assert max_rel_err(build_R_general(cb, paths, beta, corr.psi).matrix, want) <= 1e-12
+    batched = _path_vectors(cb, paths.theta_r, paths.theta_t)
+    for col in range(p):
+        loop = np.concatenate(loop_path_vectors(
+            cb, float(paths.theta_r[col]), float(paths.theta_t[col])))
+        assert max_rel_err(batched[:, col], loop) <= 1e-12
     if p == 1:
-        single, reduced = build_R_single_path(
+        want = loop_covariance_oracle(cb, paths, beta, corr.psi)
+        single, _, reduced = build_R_single_path(
             cb, float(paths.theta_r[0]), float(paths.theta_t[0]), corr.psi)
-        assert max_rel_err(single.matrix, want) <= 1e-12
+        assert max_rel_err(single, want) <= 1e-12
         norms = [np.vdot(a, a).real for a in loop_path_vectors(
             cb, float(paths.theta_r[0]), float(paths.theta_t[0]))]
         assert max_rel_err(reduced, corr.psi * np.array(norms)[None, :]) <= 1e-12
@@ -179,12 +127,12 @@ def test_path_factor_matches_loop_oracle(design, k, p, f_d):
 def test_single_path_reduced_form_shares_spectrum():
     cb = build_omni_codebook(8, 2, 8, 2, 3)
     psi = sec6_psi(3)
-    cov, reduced = build_R_single_path(cb, 0.31, 0.62, psi)
-    assert cov.matrix.shape == (12, 12)
-    assert cov.rank == 3
+    r, eigs, reduced = build_R_single_path(cb, 0.31, 0.62, psi)
+    assert r.shape == (12, 12)
+    assert _numerical_rank(eigs, 12) == 3
     # Flat patterns make every per-slot squared norm N_t * N_r = 4.
     assert np.allclose(reduced, psi * 4.0, atol=1e-9)
-    full_nonzero = np.sort(cov.eigs[:3])
+    full_nonzero = np.sort(eigs[:3])
     small = np.sort(np.linalg.eigvals(reduced).real)
     assert np.allclose(full_nonzero, small, atol=1e-9), (
         f"reduced spectrum {small} vs full {full_nonzero}")
@@ -192,104 +140,133 @@ def test_single_path_reduced_form_shares_spectrum():
 
 def test_two_slot_omni_frozen_spectrum():
     cb = build_omni_codebook(16, 2, 16, 2, 2)
-    cov, _ = build_R_single_path(cb, 0.37, 0.81, sec6_psi(2))
-    assert abs(cov.eigs[0] - 4.420926115263772) <= 1e-9
-    assert abs(cov.eigs[1] - 3.579073884736228) <= 1e-9
+    _, eigs, _ = build_R_single_path(cb, 0.37, 0.81, sec6_psi(2))
+    assert abs(eigs[0] - 4.420926115263772) <= 1e-9
+    assert abs(eigs[1] - 3.579073884736228) <= 1e-9
 
 
 def test_single_path_spectrum_angle_independent_for_omni():
     cb = build_omni_codebook(16, 2, 16, 2, 2)
     psi = sec6_psi(2)
-    cov_a, _ = build_R_single_path(cb, 0.11, 0.93, psi)
-    cov_b, _ = build_R_single_path(cb, 0.64, 0.05, psi)
-    assert np.allclose(cov_a.eigs[:2], cov_b.eigs[:2], atol=1e-9)
+    _, eigs_a, _ = build_R_single_path(cb, 0.11, 0.93, psi)
+    _, eigs_b, _ = build_R_single_path(cb, 0.64, 0.05, psi)
+    assert np.allclose(eigs_a[:2], eigs_b[:2], atol=1e-9)
 
 
 def test_general_builder_matches_single_path():
+    """path_factor of one path reproduces the single-path covariance."""
+    channel = ChannelConfig(m_t=16, m_r=8, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
+                            t_s=SEC6_SLOT_INTERVAL_S, k=2)
     cb = build_approach_codebook("quasi-omni-zc", 16, 1, 8, 2, 2)
-    psi = sec6_psi(2)
+    corr = correlation_matrix(channel)
     paths = PathSet(theta_r=np.array([0.42]), theta_t=np.array([0.17]))
-    general = build_R_general(cb, paths, (1.0,), psi)
-    single, _ = build_R_single_path(cb, 0.42, 0.17, psi)
-    assert np.max(np.abs(general.matrix - single.matrix)) <= 1e-12
+    s = path_factor(cb, paths, (1.0,), corr.sqrt_factor)
+    single, _, _ = build_R_single_path(cb, 0.42, 0.17, corr.psi)
+    assert np.max(np.abs(s @ s.conj().T - single)) <= 1e-12
+
+
+def test_general_builder_superposes_paths():
+    """The covariance of a two-path factor is the gain-weighted sum of the
+    single-path ones."""
+    cb = build_omni_codebook(8, 2, 8, 2, 1)
+    sqrt_psi = np.eye(1)
+    paths = PathSet(theta_r=np.array([0.1, 0.6]), theta_t=np.array([0.3, 0.9]))
+    both, first, second = (s @ s.conj().T for s in (
+        path_factor(cb, paths, (0.25, 0.75), sqrt_psi),
+        path_factor(cb, PathSet(paths.theta_r[:1], paths.theta_t[:1]), (1.0,), sqrt_psi),
+        path_factor(cb, PathSet(paths.theta_r[1:], paths.theta_t[1:]), (1.0,), sqrt_psi)))
+    assert np.max(np.abs(both - (0.25 * first + 0.75 * second))) <= 1e-12
+
+
+def prediction_plan(approach, k, f_d=SEC6_DOPPLER_HZ, model="geometric"):
+    channel = ChannelConfig(m_t=8, m_r=8, p=1, beta=(1.0,), f_d=f_d,
+                            t_s=SEC6_SLOT_INTERVAL_S, k=k, model=model)
+    config = ExperimentConfig(approach=approach, k=k, m_t=8, m_r=8, n_t=2, n_r=2, l=16,
+                              channel=channel, snr_db_list=(0.0,))
+    return _plan(config, 0.1, (1.0,), None)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_prediction_covariance_is_single_path_at_zero_angle(k):
-    """The omni-golay single-path asymptote takes its covariance from
-    build_R_general at angle 0: bit for bit the single-path formula, of
-    full rank K with the reduced matrix's spectrum."""
-    channel = ChannelConfig(m_t=8, m_r=8, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
-                            t_s=SEC6_SLOT_INTERVAL_S, k=k)
-    config = ExperimentConfig(approach="omni-golay", k=k, m_t=8, m_r=8, n_t=2, n_r=2, l=16,
-                              channel=channel, snr_db_list=(0.0,))
-    cb = build_omni_codebook(8, 2, 8, 2, k)
-    psi = correlation_matrix(channel).psi
-    cov = _prediction_covariance(config, cb, psi)
-    single, reduced = build_R_single_path(cb, 0.0, 0.0, psi)
-    assert np.array_equal(cov.matrix, single.matrix)
-    assert np.array_equal(cov.eigs, single.eigs)
-    assert cov.rank == single.rank == k
-    small = np.sort(np.linalg.eigvals(reduced).real)[::-1]
-    assert np.allclose(cov.eigs[:k], small, atol=1e-9)
+    """The omni-golay single-path asymptote takes its spectrum from
+    path_factor at angle 0: the loop oracle's eigenvalues, of rank K."""
+    plan = prediction_plan("omni-golay", k)
+    eigs = _prediction_spectrum(plan)
+    want = np.linalg.eigvalsh(loop_covariance_oracle(
+        plan.codebook, PathSet(np.zeros(1), np.zeros(1)), (1.0,),
+        correlation_matrix(plan.config.channel).psi))[::-1]
+    assert eigs.shape == (k,)
+    assert np.max(np.abs(eigs - want[:k])) <= 1e-12 * want[0]
+    assert np.max(np.abs(want[k:])) <= 1e-12 * want[0]
+    assert _numerical_rank(eigs, 4 * k) == k
 
 
-def test_general_builder_superposes_paths():
-    cb = build_omni_codebook(8, 2, 8, 2, 1)
-    psi = np.eye(1)
-    paths = PathSet(theta_r=np.array([0.1, 0.6]), theta_t=np.array([0.3, 0.9]))
-    both = build_R_general(cb, paths, (0.25, 0.75), psi)
-    first = build_R_general(cb, PathSet(paths.theta_r[:1], paths.theta_t[:1]), (1.0,), psi)
-    second = build_R_general(cb, PathSet(paths.theta_r[1:], paths.theta_t[1:]), (1.0,), psi)
-    combined = 0.25 * first.matrix + 0.75 * second.matrix
-    assert np.max(np.abs(both.matrix - combined)) <= 1e-12
+def test_prediction_spectrum_undefined_without_full_rank_or_flat_design():
+    """f_d = 0 leaves a rank-one slot correlation, so K >= 2 has no
+    asymptote and its p_md_asym cells stay empty; neither has a design whose
+    spectrum moves with the angle."""
+    assert _prediction_spectrum(prediction_plan("omni-golay", 1, f_d=0.0)) is not None
+    for k in (2, 4):
+        plan = prediction_plan("omni-golay", k, f_d=0.0)
+        assert _prediction_spectrum(plan) is None
+        rows = run_md_reduced(replace(plan.config, drops=1, frames_per_drop=10))
+        assert [row.p_md_asym for row in rows] == [None]
+    assert _prediction_spectrum(prediction_plan("random-phase", 2)) is None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_prediction_spectrum_of_iid_model(k):
+    plan = prediction_plan("random-phase", k, model="iid")
+    r = build_R_iid(plan.codebook, correlation_matrix(plan.config.channel).psi)
+    want = np.linalg.eigvalsh(r)[::-1]
+    eigs = _prediction_spectrum(plan)
+    assert np.max(np.abs(eigs - want[:eigs.size])) <= 1e-12 * want[0]
+    assert np.max(np.abs(want[eigs.size:]), initial=0.0) <= 1e-12 * want[0]
 
 
 def test_iid_covariance_is_identity_for_omni():
     cb = build_omni_codebook(8, 2, 8, 2, 2)
-    cov = build_R_iid(cb, sec6_psi(2))
-    assert np.max(np.abs(cov.matrix - np.eye(8))) <= 1e-12, (
+    r = build_R_iid(cb, sec6_psi(2))
+    assert np.max(np.abs(r - np.eye(8))) <= 1e-12, (
         "unitary slots with a disjoint schedule must whiten the iid channel")
-    assert cov.rank == 8
 
 
 # ===== Missed-detection asymptote =====
 
 
 def test_asymptotic_md_frozen_hand_value():
-    cov = covariance_from_eigenvalues((1.0,))
-    pred = asymptotic_md(cov, gamma=0.1, noise_var=1.0, k=1, l=2, n_r=1, n_t=1)
+    pred = asymptotic_md((1.0,), gamma=0.1, noise_var=1.0, k=1, l=2, n_r=1, n_t=1)
     assert pred.rank == 1
     assert abs(pred.value - 1.0 / 18.0) <= 1e-12 / 18.0
     assert abs(pred.log_value - math.log(1.0 / 18.0)) <= 1e-12
 
 
 def test_asymptotic_md_scales_with_rank_power_of_noise():
-    cov = covariance_from_eigenvalues((2.0, 1.0))
-    lo = asymptotic_md(cov, 0.05, 1e-2, 1, 16, 2, 2)
-    hi = asymptotic_md(cov, 0.05, 1e-0, 1, 16, 2, 2)
+    lo = asymptotic_md((2.0, 1.0), 0.05, 1e-2, 1, 16, 2, 2)
+    hi = asymptotic_md((1.0, 2.0), 0.05, 1e-0, 1, 16, 2, 2)
     assert abs(lo.value / hi.value - 1e-4) <= 1e-12, "rank 2 means a slope of 2 decades/decade"
     assert abs(lo.eig_product - 2.0) <= 1e-12
 
 
 def test_asymptotic_md_validation():
-    cov = covariance_from_eigenvalues((1.0,))
     with pytest.raises(ValueError):
-        asymptotic_md(cov, 0.0, 1.0, 1, 2, 1, 1)
+        asymptotic_md((1.0,), 0.0, 1.0, 1, 2, 1, 1)
     with pytest.raises(ValueError):
-        asymptotic_md(cov, 0.1, 0.0, 1, 2, 1, 1)
+        asymptotic_md((1.0,), 0.1, 0.0, 1, 2, 1, 1)
     with pytest.raises(ValueError):
-        asymptotic_md(covariance_from_eigenvalues((0.0,)), 0.1, 1.0, 1, 2, 1, 1)
+        asymptotic_md((0.0,), 0.1, 1.0, 1, 2, 1, 1)
+    with pytest.raises(ValueError):
+        asymptotic_md((), 0.1, 1.0, 1, 2, 1, 1)
     with pytest.raises(ValueError):
         # rank 3 exceeds the signal dimension K*N_r*N_t = 1.
-        asymptotic_md(covariance_from_eigenvalues((1.0, 1.0, 1.0)), 0.1, 1.0, 1, 2, 1, 1)
+        asymptotic_md((1.0, 1.0, 1.0), 0.1, 1.0, 1, 2, 1, 1)
 
 
 def test_asymptotic_md_full_rank_coefficient_is_binomial():
     """At r = q the coefficient is C(K*L*N_r - 1, r) = C(127, 4) = 10334625."""
     eigs = (4.0, 3.0, 2.0, 1.0)
     gamma, noise_var = 0.07, 0.5
-    pred = asymptotic_md(covariance_from_eigenvalues(eigs), gamma, noise_var, 1, 64, 2, 2)
+    pred = asymptotic_md(eigs, gamma, noise_var, 1, 64, 2, 2)
     scale = 2 * noise_var * gamma / (64 * (1 - gamma))
     assert abs(pred.value - scale**4 * 10334625 / 24.0) <= 1e-12 * pred.value
 
@@ -304,8 +281,7 @@ def test_asymptotic_md_is_leading_term_of_exact_law(eigs, k, n_r, n_t):
     """The asymptote-to-exact ratio falls to 1 as the noise vanishes, for
     full rank (r = q) and rank-deficient (r < q) spectra alike."""
     gamma = threshold_from_fa(1e-2, k, 64, n_r, n_t)
-    cov = covariance_from_eigenvalues(eigs)
-    ratios = [asymptotic_md(cov, gamma, nv, k, 64, n_r, n_t).value
+    ratios = [asymptotic_md(eigs, gamma, nv, k, 64, n_r, n_t).value
               / md_exact(eigs, nv, gamma, k, 64, n_r, n_t) for nv in (1e-1, 1e-2, 1e-3, 1e-4)]
     assert all(b < a for a, b in zip(ratios, ratios[1:])), f"ratios {ratios} not falling"
     assert 1.0 <= ratios[-1] <= 1.01, f"asymptote/exact {ratios[-1]:.6f} at noise 1e-4"
@@ -366,19 +342,25 @@ def test_md_exact_validation():
 
 
 def test_md_exact_matches_reduced_sampler():
-    """A fixed covariance makes the exact law one number per SNR point."""
+    """A fixed factor diag(sqrt(eigs)) makes the exact law one number per
+    SNR point."""
     eigs = (2.0, 0.5, 0.0, 0.0)
     channel = ChannelConfig(m_t=8, m_r=8, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
                             t_s=SEC6_SLOT_INTERVAL_S, k=1)
     config = ExperimentConfig(
         approach="omni-golay", k=1, m_t=8, m_r=8, n_t=2, n_r=2, l=16, channel=channel,
         snr_db_list=(-6.0, 0.0), drops=20, frames_per_drop=2000, master_seed=5)
-    rows = run_md_reduced(config, cov_override=covariance_from_eigenvalues(eigs))
-    for row in rows:
-        law = md_exact(eigs, 10.0 ** (-row.snr_db / 10.0), row.gamma, 1, 16, 2, 2)
-        sigma = math.sqrt(law * (1.0 - law) / row.trials)
-        assert abs(row.p_md_hat - law) <= 3 * sigma, (
-            f"at {row.snr_db} dB sampled {row.p_md_hat:.4e} vs exact {law:.4e}")
+    gamma = threshold_from_fa(config.p_fa_target, 1, 16, 2, 2)
+    noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
+    plan = _Plan(config, gamma, noise_vars, experiment_codebook(config),
+                 correlation_matrix(channel).sqrt_factor, np.diag(np.sqrt(eigs)))
+    counts, trials = _merge_counts([_reduced_drop(plan, d) for d in range(config.drops)],
+                                   len(noise_vars))
+    for snr, nv, cnt in zip(config.snr_db_list, noise_vars, counts):
+        law = md_exact(eigs, nv, gamma, 1, 16, 2, 2)
+        sigma = math.sqrt(law * (1.0 - law) / trials)
+        assert abs(cnt / trials - law) <= 3 * sigma, (
+            f"at {snr} dB sampled {cnt / trials:.4e} vs exact {law:.4e}")
 
 
 def test_md_exact_matches_multipath_sampler():
@@ -391,8 +373,9 @@ def test_md_exact_matches_multipath_sampler():
         snr_db_list=(-10.0, -4.0), drops=40, frames_per_drop=500, master_seed=6)
     cb = build_approach_codebook("quasi-omni-zc", 16, 1, 8, 2, 4)
     psi = correlation_matrix(channel).psi
-    eigs = np.array([build_R_general(cb, sample_paths(channel, derive_seed(6, d)),
-                                     channel.beta, psi).eigs for d in range(config.drops)])
+    eigs = np.array([np.linalg.eigvalsh(loop_covariance_oracle(
+        cb, sample_paths(channel, derive_seed(6, d)), channel.beta, psi))
+        for d in range(config.drops)])
     for row in run_md_reduced(config):
         laws = md_exact(eigs, 10.0 ** (-row.snr_db / 10.0), row.gamma, 4, 16, 2, 1)
         law = float(np.mean(laws))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from omnisync.analysis import build_R_general, build_R_iid, path_factor
+from omnisync.analysis import build_R_iid, path_factor
 from omnisync.channel import (
     SEC6_DOPPLER_HZ,
     SEC6_SLOT_INTERVAL_S,
@@ -26,6 +26,7 @@ from omnisync.channel import (
 )
 from omnisync.codebook import build_approach_codebook
 from omnisync.montecarlo import _cov_factor, _effective_channels
+from oracles import loop_covariance_oracle
 
 
 def sec6_config(k, m_t=4, m_r=4, p=1, beta=None, model="geometric"):
@@ -243,7 +244,8 @@ def assert_matches_covariance(geff, r):
 
 
 def test_geometric_effective_channel_covariance():
-    """Two fixed paths with unequal gains: the drawn G_k follow build_R_general."""
+    """Two fixed paths with unequal gains: the drawn G_k follow the
+    covariance of the slot-by-slot loop oracle."""
     config = sec6_config(3, m_t=8, m_r=8, p=2, beta=(0.3, 0.7))
     cb = build_approach_codebook("random-phase", 8, 2, 8, 2, 3, seed=4)
     paths = PathSet(theta_r=np.array([0.12, 0.57]), theta_t=np.array([0.33, 0.81]))
@@ -251,13 +253,13 @@ def test_geometric_effective_channel_covariance():
     geff = draw_effective_channels(47, path_factor(cb, paths, config.beta, corr.sqrt_factor),
                                    cb, 20000)
     assert geff.shape == (20000, 3, 2, 2)
-    assert_matches_covariance(geff, build_R_general(cb, paths, config.beta, corr.psi).matrix)
+    assert_matches_covariance(geff, loop_covariance_oracle(cb, paths, config.beta, corr.psi))
 
 
 def test_iid_effective_channel_covariance():
     config = sec6_config(2, m_t=4, m_r=4, model="iid")
     cb = build_approach_codebook("random-phase", 4, 2, 4, 2, 2, seed=6)
-    cov = build_R_iid(cb, correlation_matrix(config).psi)
-    geff = draw_effective_channels(53, _cov_factor(cov), cb, 20000)
+    r = build_R_iid(cb, correlation_matrix(config).psi)
+    geff = draw_effective_channels(53, _cov_factor(r), cb, 20000)
     assert geff.shape == (20000, 2, 2, 2)
-    assert_matches_covariance(geff, cov.matrix)
+    assert_matches_covariance(geff, r)

@@ -92,6 +92,34 @@ def test_verify_missing_file(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def malformed_codebook(tmp_path, kind):
+    """A codebook file that parses as JSON but is not a codebook document."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "array":
+        path.write_text("[]", encoding="utf-8")
+    else:
+        assert run_cli("codebook", "--mt", "4", "--nt", "2", "--mr", "4", "--nr", "2",
+                       "--k", "1", "--design", "omni-golay", "--out", str(path)) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["w"][0] = [["a", "b"]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["array", "non-numeric"])
+@pytest.mark.parametrize("command", ["verify", "pattern"])
+def test_codebook_commands_reject_malformed_documents(tmp_path, capsys, command, kind):
+    path = malformed_codebook(tmp_path, kind)
+    capsys.readouterr()
+    out = tmp_path / "pattern.csv"
+    extra = ("--out", str(out)) if command == "pattern" else ()
+    assert run_cli(command, "--in", str(path), *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert {"array": "JSON object", "non-numeric": "field 'w'"}[kind] in err
+    assert not out.exists()
+
+
 # ===== threshold =====
 
 
@@ -153,6 +181,36 @@ def test_analytic_missing_field(tmp_path, capsys):
     config.write_text(json.dumps({"k": 1}), encoding="utf-8")
     assert run_cli("analytic", "--config", str(config), "--quantity", "fa") == 1
     assert "missing field" in capsys.readouterr().err
+
+
+ANALYTIC_DOCS = {
+    "fa": {"k": 1, "l": 8, "nr": 1, "nt": 1, "gamma": [0.1]},
+    "md-asym": {"k": 1, "l": 2, "nr": 1, "nt": 1, "eigenvalues": [1.0], "gamma": [0.1],
+                "noise_var": [1.0]},
+    "lemma1": {"lambda": [1.0], "sigma": [1.0], "t": [0.01]},
+}
+
+
+@pytest.mark.parametrize("quantity,field", [
+    ("fa", "gamma"), ("md-asym", "gamma"), ("md-asym", "noise_var"),
+    ("md-asym", "eigenvalues"), ("lemma1", "lambda"), ("lemma1", "sigma"), ("lemma1", "t"),
+])
+def test_analytic_rejects_non_list_field(tmp_path, capsys, quantity, field):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(dict(ANALYTIC_DOCS[quantity], **{field: 0.5})),
+                      encoding="utf-8")
+    assert run_cli("analytic", "--config", str(config), "--quantity", quantity) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err
+
+
+def test_analytic_md_asym_rejects_negative_eigenvalue(tmp_path, capsys):
+    config = tmp_path / "neg.json"
+    config.write_text(json.dumps(dict(ANALYTIC_DOCS["md-asym"], eigenvalues=[1.0, -0.5])),
+                      encoding="utf-8")
+    assert run_cli("analytic", "--config", str(config), "--quantity", "md-asym") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nonnegative" in err
 
 
 # ===== simulate =====

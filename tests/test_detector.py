@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omnisync.analysis import build_R_iid, covariance_from_eigenvalues, fa_closed_form
+from omnisync.analysis import build_R_iid, fa_closed_form
 from omnisync.channel import (
     SEC6_DOPPLER_HZ,
     SEC6_SLOT_INTERVAL_S,
@@ -281,7 +281,7 @@ def test_full_drop_matches_per_frame_oracle(model):
     x = make_sync_signal(n, l)
     corr = correlation_matrix(channel)
     noise_vars = (1.0,) if model == "noise-only" else (10.0 ** 0.6, 10.0 ** 0.3)
-    no_signal = covariance_from_eigenvalues((0.0,) * (k * n * n))
+    no_signal = np.zeros((k * n * n, 0))
     plan = _plan(config, gamma, noise_vars, no_signal if model == "noise-only" else None)
     counts, trials = _full_drop(plan, 0)
     assert trials == frames
@@ -339,7 +339,7 @@ def test_full_drop_noise_has_combiner_covariance(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr("omnisync.montecarlo.glrt_statistic", record)
-        _full_drop(_plan(config, 0.5, (1.0,), covariance_from_eigenvalues((0.0,) * (k * n))), 0)
+        _full_drop(_plan(config, 0.5, (1.0,), np.zeros((k * n, 0))), 0)
     v = np.concatenate(seen).reshape(config.frames_per_drop, -1)  # (frames, K*N_r*L)
     want = np.zeros((v.shape[1],) * 2, dtype=np.complex128)
     for s in range(k):

@@ -14,13 +14,22 @@ import numpy as np
 import pytest
 
 from omnisync import montecarlo
-from omnisync.analysis import covariance_from_eigenvalues, fa_closed_form
-from omnisync.channel import SEC6_DOPPLER_HZ, SEC6_SLOT_INTERVAL_S, ChannelConfig
+from omnisync.analysis import fa_closed_form
+from omnisync.channel import (
+    SEC6_DOPPLER_HZ,
+    SEC6_SLOT_INTERVAL_S,
+    ChannelConfig,
+    correlation_matrix,
+)
 from omnisync.codebook import zc_precoder
+from omnisync.detector import threshold_from_fa
 from omnisync.montecarlo import (
     CSV_HEADER,
     ExperimentConfig,
     ResultRow,
+    _merge_counts,
+    _Plan,
+    _reduced_drop,
     derive_seed,
     estimate_fa,
     estimate_slope,
@@ -156,12 +165,14 @@ def test_run_md_handles_empty_snr_list():
 
 
 def test_null_covariance_recovers_false_alarm_complement():
-    """With a zero signal covariance a miss is just a non-alarm."""
+    """With a zero-width signal factor a miss is just a non-alarm."""
     config = make_config(snr=(0.0,), drops=40, frames_per_drop=500, master_seed=8)
-    row = run_md_reduced(config, cov_override=covariance_from_eigenvalues((0.0,) * 4))[0]
-    stderr = math.sqrt(0.99 * 0.01 / row.trials)
-    assert abs(row.p_md_hat - 0.99) <= 3 * stderr
-    assert row.p_md_asym is None, "no asymptote exists for a rank-0 covariance"
+    gamma = threshold_from_fa(config.p_fa_target, 1, config.l, 2, 2)
+    plan = _Plan(config, gamma, (1.0,), experiment_codebook(config),
+                 correlation_matrix(config.channel).sqrt_factor, np.zeros((4, 0)))
+    counts, trials = _merge_counts([_reduced_drop(plan, d) for d in range(config.drops)], 1)
+    stderr = math.sqrt(0.99 * 0.01 / trials)
+    assert abs(counts[0] / trials - 0.99) <= 3 * stderr
 
 
 def test_estimate_fa_hits_target():

@@ -3,16 +3,21 @@
 import omnisync
 
 # The per-frame detector, its frame and result types, the channel
-# realizations and the single-path builder left the package; the batched
-# glrt_statistic and build_R_general cover what they did.
+# realizations, the covariance builders and the covariance type with its
+# eigen helpers left the package; the batched glrt_statistic, the factor
+# path_factor and spectra taken as arrays cover what they did.
 REMOVED = (
     "ChannelRealization",
     "DetectorOutput",
+    "EffectiveCovariance",
     "SyncFrame",
     "SyncSignal",
     "UndefinedStatisticError",
+    "build_R_general",
     "build_R_single_path",
     "chi_moment",
+    "covariance_from_eigenvalues",
+    "hermitian_eigenvalues",
     "iid_channel",
     "realize_channel",
     "synthesize",
