@@ -154,4 +154,10 @@ def sample_paths(config: ChannelConfig, seed: int | np.random.Generator) -> Path
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """CN(0, 1) entries: the real parts are drawn first, then the imaginary
+    parts, written into one complex array and scaled in place."""
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out

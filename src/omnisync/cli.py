@@ -255,6 +255,13 @@ def _number_list(doc: dict, key: str) -> list[float]:
     return [float(v) for v in value]
 
 
+def _int_field(doc: dict, key: str) -> int:
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"analytic config field {key!r}: expected an integer, got {value!r}")
+    return value
+
+
 def _analytic_rows(doc: dict, quantity: str) -> list[str]:
     if not isinstance(doc, dict):
         raise ValueError("analytic config: expected a JSON object")
@@ -264,13 +271,13 @@ def _analytic_rows(doc: dict, quantity: str) -> list[str]:
         return "" if value is None else repr(float(value))
 
     if quantity == "fa":
-        k, l, nr, nt = (int(doc[key]) for key in ("k", "l", "nr", "nt"))
+        k, l, nr, nt = (_int_field(doc, key) for key in ("k", "l", "nr", "nt"))
         for gamma in _number_list(doc, "gamma"):
             val = fa_closed_form(gamma, k, l, nr, nt)
             logv = fa_closed_form_log(gamma, k, l, nr, nt)
             rows.append(f"fa,{k},{l},{nr},{nt},{fmt(gamma)},,{fmt(val)},{fmt(logv)}")
     elif quantity == "md-asym":
-        k, l, nr, nt = (int(doc[key]) for key in ("k", "l", "nr", "nt"))
+        k, l, nr, nt = (_int_field(doc, key) for key in ("k", "l", "nr", "nt"))
         eigs = _number_list(doc, "eigenvalues")
         if any(v < 0 for v in eigs):
             raise ValueError("analytic config field 'eigenvalues': must be nonnegative")

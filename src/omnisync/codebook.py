@@ -616,26 +616,46 @@ def codebook_to_json(cb: Codebook) -> str:
     return json.dumps(doc)
 
 
+def _typed_field(doc: dict, key: str, kind: type, expected: str):
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"codebook field {key!r}: expected {expected}, got {value!r}")
+    return value
+
+
+def _schedule_field(schedules: dict, side: str) -> SlotSchedule | None:
+    entries = schedules.get(side)
+    if not entries:
+        return None
+    if not isinstance(entries, list) or not all(
+            isinstance(s, list) and all(isinstance(i, int) and not isinstance(i, bool) for i in s)
+            for s in entries):
+        raise ValueError(
+            f"codebook field 'schedules.{side}': expected lists of integers, got {entries!r}")
+    return SlotSchedule(tuple(tuple(s) for s in entries))
+
+
 def codebook_from_json(text: str) -> Codebook:
     """Parses the interchange JSON document back into a Codebook."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("codebook document: expected a JSON object")
     try:
-        mt, nt, mr, nr, k = (int(doc[key]) for key in ("mt", "nt", "mr", "nr", "k"))
+        mt, nt, mr, nr, k = (_typed_field(doc, key, int, "an integer")
+                             for key in ("mt", "nt", "mr", "nr", "k"))
         design = str(doc["design"])
-        w = tuple(_matrix_from_pairs(p, mt, nt, "w") for p in doc["w"])
-        f = tuple(_matrix_from_pairs(p, mr, nr, "f") for p in doc["f"])
+        w = tuple(_matrix_from_pairs(p, mt, nt, "w")
+                  for p in _typed_field(doc, "w", list, "a list of matrices"))
+        f = tuple(_matrix_from_pairs(p, mr, nr, "f")
+                  for p in _typed_field(doc, "f", list, "a list of matrices"))
     except KeyError as exc:
         raise ValueError(f"codebook document missing field {exc}") from exc
-    schedules = doc.get("schedules")
-    sched_t = sched_r = None
-    if schedules:
-        if schedules.get("t"):
-            sched_t = SlotSchedule(tuple(tuple(int(i) for i in s) for s in schedules["t"]))
-        if schedules.get("r"):
-            sched_r = SlotSchedule(tuple(tuple(int(i) for i in s) for s in schedules["r"]))
-    return Codebook(k=k, w=w, f=f, design=design, schedule_t=sched_t, schedule_r=sched_r)
+    schedules = doc.get("schedules") or {}
+    if not isinstance(schedules, dict):
+        raise ValueError(f"codebook field 'schedules': expected an object, got {schedules!r}")
+    return Codebook(k=k, w=w, f=f, design=design,
+                    schedule_t=_schedule_field(schedules, "t"),
+                    schedule_r=_schedule_field(schedules, "r"))
 
 
 def pattern_csv_rows(cb: Codebook, grid: AngleGrid | None = None):

@@ -11,12 +11,16 @@ byte-identical for any worker count.
 Two estimators are provided: "reduced" scores the low-dimensional ratio form
 of the statistic (a weighted signal vector plus white noise over an
 independent chi-square), "full" draws post-combining frames (noise F_k^H Z_k
-as C_k w, C_k = cholesky(F_k^H F_k), w ~ CN(0, I)) and scores them with
-detector.glrt_statistic.  Both draw the signal as g = S w through the same
+as C_k w, C_k = cholesky(F_k^H F_k), w ~ CN(0, I)) and scores them through
+the detector's GLRT law.  Both draw the signal as g = S w through the same
 covariance factor S of the drop, and share the pooling and determinism
-contract.  Where R's spectrum does not depend on the drop (the i.i.d. model,
-or one path through the flat design), a fixed factor's squared singular
-values give the p_md_asym column.
+contract.  Each chunk of frames is scored once: one signal and one noise draw
+serve every SNR point (common random numbers), so a frame's miss test is a
+quadratic in sqrt(noise_var) with per-frame coefficients computed once per
+chunk, and each SNR point is one evaluation and comparison of it.  Where R's
+spectrum does not depend on the drop (the i.i.d. model, or one path through
+the flat design), a fixed factor's squared singular values give the
+p_md_asym column.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .analysis import _numerical_rank, asymptotic_md, build_R_iid, fa_closed_form, path_factor
 from .channel import ChannelConfig, PathSet, _complex_normal, correlation_matrix, sample_paths
 from .codebook import NAMED_DESIGNS, Codebook, build_approach_codebook
-from .detector import glrt_statistic, make_sync_signal, threshold_from_fa
+from .detector import _miss_coefficients, glrt_statistic, make_sync_signal, threshold_from_fa
 
 DESK_P_FA = 1e-2
 
@@ -148,6 +152,15 @@ def _merge_counts(results, n_points: int) -> tuple[np.ndarray, int]:
     return counts, trials
 
 
+def _count_misses(counts: np.ndarray, c0, c1, c2, noise_vars, miss) -> None:
+    """Adds to counts[i] the frames whose miss quadratic c0 + s * (c1 + s * c2)
+    in s = sqrt(noise_vars[i]) passes miss(value, 0.0): np.less_equal for the
+    full estimator's T <= gamma, np.less for the reduced form's strict test."""
+    for i, nv in enumerate(noise_vars):
+        s = math.sqrt(nv)
+        counts[i] += int(np.count_nonzero(miss(c0 + s * (c1 + s * c2), 0.0)))
+
+
 def _rows_from_counts(config, gamma, counts, trials, asym) -> list:
     rows = []
     for snr, cnt, pred in zip(config.snr_db_list, counts, asym):
@@ -246,6 +259,11 @@ def _reduced_chunk(q: int) -> int:
     return min(1 << 16, max(1, (1 << 20) // max(q, 1)))
 
 
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a^H b) of every column pair of a and b."""
+    return np.einsum("qc,qc->c", a.real, b.real) + np.einsum("qc,qc->c", a.imag, b.imag)
+
+
 def _reduced_drop(plan: _Plan, drop_index: int):
     cfg = plan.config
     rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
@@ -262,9 +280,9 @@ def _reduced_drop(plan: _Plan, drop_index: int):
         g = amp_factor @ _complex_normal(rng, (amp_factor.shape[1], c))
         z2 = _complex_normal(rng, (q, c))
         y1 = rng.gamma(d_dim, 1.0, size=c)
-        for i, nv in enumerate(plan.noise_vars):
-            num = np.sum(np.abs(g + math.sqrt(nv) * z2) ** 2, axis=0)
-            counts[i] += int(np.sum(num < t_ratio * nv * y1))
+        # |g + s z|^2 < t s^2 y1 as a quadratic in s = sqrt(noise_var).
+        _count_misses(counts, _re_inner(g, g), 2.0 * _re_inner(g, z2),
+                      _re_inner(z2, z2) - t_ratio * y1, plan.noise_vars, np.less)
     return counts, cfg.frames_per_drop
 
 
@@ -275,7 +293,9 @@ def run_md_reduced(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
     a Gamma(K*N_r*(L-N_t)) variate; the numerator draws the signal vector
     g = S w through the drop's covariance factor S (the same draw as the
     full estimator's) and shares its noise draw across the SNR list (common
-    random numbers).  Geometric drops use the explicit factor
+    random numbers): the miss test |g + s z|^2 < t s^2 y1 at each
+    s = sqrt(noise_var) reads the chunk's |g|^2, 2 Re(g^H z) and
+    |z|^2 - t y1.  Geometric drops use the explicit factor
     analysis.path_factor of their angles; the i.i.d. model's fixed
     covariance is factored once per run.
     """
@@ -291,14 +311,14 @@ def _full_chunk(k: int, m_r: int, l: int) -> int:
 
 def _effective_channels(g: np.ndarray, k: int, n_t: int, n_r: int) -> np.ndarray:
     """G_k = F_k^H H_k W_k, shape (c, K, N_r, N_t), read from the columns
-    g = [vec(G_k)]_k; copied contiguous, since the pilot product of a strided
-    view is strided too and slows every sum over the SNR list."""
-    return np.ascontiguousarray(g.T.reshape(g.shape[1], k, n_t, n_r).swapaxes(2, 3))
+    g = [vec(G_k)]_k, as a strided view."""
+    return g.T.reshape(g.shape[1], k, n_t, n_r).swapaxes(2, 3)
 
 
 def _full_drop(plan: _Plan, drop_index: int):
     """Misses (T <= gamma) per noise variance in one drop: G_k is read from
-    g = S w, F_k^H Z_k is drawn as C_k w with C_k = cholesky(F_k^H F_k)."""
+    g = S w, F_k^H Z_k is drawn as C_k w with C_k = cholesky(F_k^H F_k), and
+    each chunk's miss-test coefficients serve every noise variance."""
     cfg = plan.config
     cb = plan.codebook
     rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
@@ -316,10 +336,12 @@ def _full_drop(plan: _Plan, drop_index: int):
             g = factor @ _complex_normal(rng, (factor.shape[1], c))
             ys = np.einsum("ckab,bl->ckal", _effective_channels(g, cfg.k, cfg.n_t, cfg.n_r), x)
         yz = noise_factor @ _complex_normal(rng, (c, cfg.k, cfg.n_r, cfg.l))
-        for i, nv in enumerate(plan.noise_vars):
+        if ys is None:
             # T is scale-invariant, so signal-free frames are scored unscaled.
-            y = yz if ys is None else ys + math.sqrt(nv) * yz
-            counts[i] += int(np.sum(glrt_statistic(y, x, cb.f) <= plan.gamma))
+            counts += int(np.sum(glrt_statistic(yz, x, cb.f) <= plan.gamma))
+        else:
+            _count_misses(counts, *_miss_coefficients(ys, yz, x, cb.f, plan.gamma),
+                          plan.noise_vars, np.less_equal)
     return counts, cfg.frames_per_drop
 
 
@@ -328,8 +350,9 @@ def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
 
     Frames are drawn in config-determined chunks (the signal g = S w through
     the same factor as the reduced estimator, then the combined noise
-    F_k^H Z_k, N_r rows per slot) and scored in batches by
-    detector.glrt_statistic; noise draws are shared across the SNR list.
+    F_k^H Z_k, N_r rows per slot); noise draws are shared across the SNR
+    list, so each chunk is scored once, through the coefficients of the
+    detector's miss test as a quadratic in sqrt(noise_var).
     """
     return _run_md(_full_drop, config, workers)
 

@@ -169,6 +169,17 @@ def test_sample_paths_deterministic_and_ordered():
     assert np.all((paths_a.theta_r >= 0) & (paths_a.theta_r < 1))
 
 
+@pytest.mark.parametrize("shape", [(4, 65536), (2, 3, 4, 5), 7, (0, 3), ()])
+def test_complex_normal_matches_sum_expression_bit_for_bit(shape):
+    """The draw is (a + 1j b) / sqrt(2) with a drawn before b, to the byte."""
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        got = _complex_normal(np.random.default_rng(seed), shape)
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ===== Fading realizations =====
 
 

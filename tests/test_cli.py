@@ -92,17 +92,23 @@ def test_verify_missing_file(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def codebook_with(tmp_path, field, value):
+    """A K=1 omni-golay codebook file with one top-level field replaced."""
+    path = tmp_path / "edited.json"
+    assert run_cli("codebook", "--mt", "4", "--nt", "2", "--mr", "4", "--nr", "2",
+                   "--k", "1", "--design", "omni-golay", "--out", str(path)) == 0
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[field] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 def malformed_codebook(tmp_path, kind):
     """A codebook file that parses as JSON but is not a codebook document."""
+    if kind == "non-numeric":
+        return codebook_with(tmp_path, "w", [[["a", "b"]]])
     path = tmp_path / f"{kind}.json"
-    if kind == "array":
-        path.write_text("[]", encoding="utf-8")
-    else:
-        assert run_cli("codebook", "--mt", "4", "--nt", "2", "--mr", "4", "--nr", "2",
-                       "--k", "1", "--design", "omni-golay", "--out", str(path)) == 0
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["w"][0] = [["a", "b"]]
-        path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text("[]", encoding="utf-8")
     return path
 
 
@@ -118,6 +124,23 @@ def test_codebook_commands_reject_malformed_documents(tmp_path, capsys, command,
     assert err.startswith("error:")
     assert {"array": "JSON object", "non-numeric": "field 'w'"}[kind] in err
     assert not out.exists()
+
+
+WRONG_TYPES = [None, [2], "2"]
+
+
+@pytest.mark.parametrize("field,value", [
+    *((field, value) for field in ("mt", "nt", "mr", "nr", "k") for value in WRONG_TYPES),
+    ("w", 5), ("w", None), ("f", "pairs"), ("f", {"0": []}),
+    ("schedules", [[1]]), ("schedules", "t"), ("schedules", 3),
+    ("schedules", {"t": 5}), ("schedules", {"r": [[None]]}), ("schedules", {"t": [[1.5]]}),
+])
+def test_verify_rejects_wrongly_typed_codebook_field(tmp_path, capsys, field, value):
+    path = codebook_with(tmp_path, field, value)
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"field '{field}" in err
 
 
 # ===== threshold =====
@@ -202,6 +225,19 @@ def test_analytic_rejects_non_list_field(tmp_path, capsys, quantity, field):
     assert run_cli("analytic", "--config", str(config), "--quantity", quantity) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(field) in err
+
+
+@pytest.mark.parametrize("value", WRONG_TYPES)
+@pytest.mark.parametrize("quantity,field", [
+    ("fa", "k"), ("fa", "l"), ("fa", "nr"), ("fa", "nt"), ("md-asym", "k"), ("md-asym", "nt"),
+])
+def test_analytic_rejects_non_integer_field(tmp_path, capsys, quantity, field, value):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(dict(ANALYTIC_DOCS[quantity], **{field: value})),
+                      encoding="utf-8")
+    assert run_cli("analytic", "--config", str(config), "--quantity", quantity) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"field {field!r}: expected an integer" in err
 
 
 def test_analytic_md_asym_rejects_negative_eigenvalue(tmp_path, capsys):

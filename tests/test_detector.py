@@ -22,7 +22,13 @@ from omnisync.channel import (
     steering,
 )
 from omnisync.codebook import Codebook, build_approach_codebook, build_omni_codebook
-from omnisync.detector import glrt_statistic, make_sync_signal, threshold_from_fa
+from omnisync.detector import (
+    _glrt_forms,
+    _miss_coefficients,
+    glrt_statistic,
+    make_sync_signal,
+    threshold_from_fa,
+)
 from omnisync.montecarlo import (
     ExperimentConfig,
     _cov_factor,
@@ -198,6 +204,52 @@ def test_glrt_zero_frame_raises():
         glrt_statistic(batch, x, scalar_codebook().f)
     with pytest.raises(ValueError, match="no energy"):
         glrt_statistic(batch[1:2], x, scalar_codebook().f)
+
+
+# ===== Miss-test coefficients =====
+
+
+def random_frames(rng, design, n, k, frames, l=16):
+    """A codebook's combiners, the pilot, and a signal and a noise batch."""
+    cb = build_approach_codebook(design, 8, n, 8, n, k, seed=5)
+    x = make_sync_signal(n, l)
+    gains = _complex_normal(rng, (frames, k, n, n)) * rng.uniform(0.0, 2.0, (frames, 1, 1, 1))
+    ys = np.einsum("ckab,bl->ckal", gains, x)
+    return cb, x, ys, _complex_normal(rng, (frames, k, n, l))
+
+
+@pytest.mark.parametrize("design,n", ORACLE_DESIGNS)
+def test_glrt_forms_on_the_diagonal_give_the_statistic(design, n):
+    rng = np.random.default_rng(41)
+    cb, x, ys, yz = random_frames(rng, design, n, 3, 40)
+    y = ys + yz
+    num, den = _glrt_forms(y, y, x, cb.f)
+    t = glrt_statistic(y, x, cb.f)
+    assert np.max(np.abs(num / den - t)) <= 1e-12
+    want = np.array([loop_glrt_statistic(frame, cb, x)[0] for frame in y])
+    assert np.max(np.abs(t - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("design,n", ORACLE_DESIGNS)
+def test_miss_coefficients_expand_the_statistic(design, n):
+    """c0 + s c1 + s^2 c2 is num - gamma den at ys + s yz for every s, and its
+    sign gives T <= gamma on every frame not within rounding of gamma."""
+    rng = np.random.default_rng(43)
+    cb, x, ys, yz = random_frames(rng, design, n, 2, 400)
+    gamma = 0.3
+    c0, c1, c2 = _miss_coefficients(ys, yz, x, cb.f, gamma)
+    assert c0.shape == c1.shape == c2.shape == (400,)
+    decided = 0
+    for s in (0.05, 0.3, 1.0, 2.5, 10.0):
+        y = ys + s * yz
+        num, den = _glrt_forms(y, y, x, cb.f)
+        poly = c0 + s * c1 + s * s * c2
+        assert np.max(np.abs(poly - (num - gamma * den)) / (num + gamma * den)) <= 1e-12
+        t = glrt_statistic(y, x, cb.f)
+        clear = np.abs(t - gamma) > 1e-12
+        assert np.array_equal((poly <= 0.0)[clear], (t <= gamma)[clear])
+        decided += int(np.count_nonzero((t <= gamma)[clear]))
+    assert 0 < decided < 5 * 400, "the decisions should not be trivial"
 
 
 # ===== Threshold calibration =====

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from omnisync import montecarlo
-from omnisync.analysis import fa_closed_form
+from omnisync.analysis import build_R_iid, fa_closed_form, path_factor
 from omnisync.channel import (
     SEC6_DOPPLER_HZ,
     SEC6_SLOT_INTERVAL_S,
     ChannelConfig,
+    _complex_normal,
     correlation_matrix,
+    sample_paths,
 )
 from omnisync.codebook import zc_precoder
 from omnisync.detector import threshold_from_fa
@@ -27,7 +29,9 @@ from omnisync.montecarlo import (
     CSV_HEADER,
     ExperimentConfig,
     ResultRow,
+    _cov_factor,
     _merge_counts,
+    _plan,
     _Plan,
     _reduced_drop,
     derive_seed,
@@ -155,6 +159,51 @@ def test_reduced_and_full_estimators_agree(k, n, l, snr, model):
     assert diff <= 3 * combined, (
         f"estimators disagree at k={k} n={n} l={l}: "
         f"reduced {red.p_md_hat:.4f} vs full {ful.p_md_hat:.4f} (3 sigma {3 * combined:.4f})")
+
+
+@pytest.mark.parametrize("model", ["geometric", "iid"])
+def test_reduced_drop_matches_direct_count(model):
+    """One drop of the reduced estimator, drawn again from its seed in the
+    same order (angles, signal variables, numerator noise, denominator
+    Gamma), counts |g + s z|^2 < t s^2 y1 directly at every s^2."""
+    k, n, l, frames = 2, 2, 8, 3000
+    channel = ChannelConfig(m_t=8, m_r=8, p=2, beta=(0.3, 0.7), f_d=SEC6_DOPPLER_HZ,
+                            t_s=SEC6_SLOT_INTERVAL_S, k=k, model=model)
+    config = ExperimentConfig(
+        approach="random-phase", k=k, m_t=8, m_r=8, n_t=n, n_r=n, l=l, channel=channel,
+        snr_db_list=(-6.0, -3.0, 0.0, 3.0), drops=1, frames_per_drop=frames, master_seed=17)
+    gamma = threshold_from_fa(0.1, k, l, n, n)
+    noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
+    counts, trials = _reduced_drop(_plan(config, gamma, noise_vars, None), 0)
+    assert trials == frames
+
+    cb = experiment_codebook(config)
+    corr = correlation_matrix(channel)
+    rng = np.random.default_rng(derive_seed(17, 0))
+    if model == "iid":
+        factor = _cov_factor(build_R_iid(cb, corr.psi))
+    else:
+        factor = path_factor(cb, sample_paths(channel, rng), channel.beta, corr.sqrt_factor)
+    g = math.sqrt(l / n) * factor @ _complex_normal(rng, (factor.shape[1], frames))
+    z = _complex_normal(rng, (k * n * n, frames))
+    y1 = rng.gamma(k * n * (l - n), 1.0, size=frames)
+    t_ratio = gamma / (1.0 - gamma)
+    want = [int(np.sum(np.sum(np.abs(g + math.sqrt(nv) * z) ** 2, axis=0) < t_ratio * nv * y1))
+            for nv in noise_vars]
+    assert counts.tolist() == want
+    assert 0 < want[-1] < want[0] < frames, "the counts should not be trivial"
+
+
+@pytest.mark.parametrize("estimator", ["reduced", "full"])
+def test_snr_points_share_their_draws(estimator):
+    """Every SNR point scores the same signal and noise draws, so adding a
+    point leaves the counts at the others unchanged."""
+    kwargs = dict(approach="random-phase", k=2, m_t=8, m_r=8, n_t=1, n_r=1, l=8,
+                  drops=6, frames_per_drop=300, estimator=estimator, master_seed=23)
+    two = sweep(make_config(snr=(-6.0, 0.0), **kwargs))
+    three = sweep(make_config(snr=(-6.0, 0.0, 6.0), **kwargs))
+    assert three[:2] == two
+    assert all(0.0 < row.p_md_hat < 1.0 for row in two)
 
 
 def test_run_md_handles_empty_snr_list():
