@@ -293,12 +293,7 @@ def lemma1_cdf(ratio: GeneralizedFRatio, t: float) -> float:
     if t < 0:
         raise ValueError("threshold must be nonnegative")
     m = len(ratio.lam)
-    if len(set(ratio.sigma)) == 1:
-        # Equal denominator weights: h_M reduces to a single binomial term.
-        n = len(ratio.sigma)
-        h = math.comb(m + n - 1, m) * ratio.sigma[0] ** m
-    else:
-        h = float(_homogeneous_sums(m, ratio.sigma)[m])
+    h = float(_homogeneous_sums(m, ratio.sigma)[m])
     inv_lam = math.prod(1.0 / v for v in ratio.lam)
     return (t ** m) * inv_lam * h
 

@@ -36,7 +36,7 @@ from .codebook import (
     verify_codebook,
 )
 from .detector import threshold_from_fa
-from .montecarlo import ExperimentConfig, results_to_csv, sweep
+from .montecarlo import ESTIMATORS, ExperimentConfig, sweep, write_results_csv
 
 logger = logging.getLogger(__name__)
 
@@ -140,7 +140,7 @@ def experiment_config_from_doc(doc: dict) -> ExperimentConfig:
     if pfa is not None and not 0.0 < pfa < 1.0:
         errors.append(f"$.p_fa_target: must be inside (0, 1), got {doc.get('p_fa_target')!r}")
     estimator = doc.get("estimator", "reduced")
-    if estimator not in ("reduced", "full"):
+    if estimator not in ESTIMATORS:
         errors.append(f"$.estimator: expected 'reduced' or 'full', got {estimator!r}")
         estimator = "reduced"
     snr = doc.get("snr_db")
@@ -352,9 +352,7 @@ def _cmd_simulate(args) -> int:
             note = f" asym/mc={row.p_md_asym / row.p_md_hat:.3g}"
         logger.info("snr=%+.1f dB p_md=%.3e (stderr %.1e)%s",
                     row.snr_db, row.p_md_hat, row.p_md_stderr, note)
-    csv_text = results_to_csv(rows)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
+    write_results_csv(rows, args.out)
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     print(f"{len(rows)} result rows -> {args.out} (manifest alongside)")

@@ -20,7 +20,9 @@ quadratic in sqrt(noise_var) with per-frame coefficients computed once per
 chunk, and each SNR point is one evaluation and comparison of it.  Where R's
 spectrum does not depend on the drop (the i.i.d. model, or one path through
 the flat design), a fixed factor's squared singular values give the
-p_md_asym column.
+p_md_asym column.  False alarm is the signal-free run of either estimator's
+drop: a zero-width factor at unit noise variance, where a frame not missed
+is an alarm.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class ExperimentConfig:
             raise ValueError(f"SNR points must be finite, got {self.snr_db_list!r}")
         if self.approach not in NAMED_DESIGNS:
             raise ValueError(f"unknown approach {self.approach!r}")
-        if self.estimator not in ("reduced", "full"):
+        if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be 'reduced' or 'full', got {self.estimator!r}")
         if self.drops < 1 or self.frames_per_drop < 1:
             raise ValueError("drops and frames_per_drop must be at least 1")
@@ -161,16 +163,14 @@ def _count_misses(counts: np.ndarray, c0, c1, c2, noise_vars, miss) -> None:
         counts[i] += int(np.count_nonzero(miss(c0 + s * (c1 + s * c2), 0.0)))
 
 
-def _rows_from_counts(config, gamma, counts, trials, asym) -> list:
-    rows = []
-    for snr, cnt, pred in zip(config.snr_db_list, counts, asym):
-        p = int(cnt) / trials
-        rows.append(ResultRow(
-            approach=config.approach, k=config.k, snr_db=float(snr), gamma=gamma,
-            p_fa_target=config.p_fa_target, p_md_hat=p,
-            p_md_stderr=math.sqrt(p * (1.0 - p) / trials),
-            p_md_asym=pred, trials=trials, seed=config.master_seed))
-    return rows
+def _row(config, snr_db: float, gamma: float, hits: int, trials: int, asym) -> ResultRow:
+    """The row of hits out of trials: their fraction and its binomial stderr."""
+    p = hits / trials
+    return ResultRow(
+        approach=config.approach, k=config.k, snr_db=float(snr_db), gamma=gamma,
+        p_fa_target=config.p_fa_target, p_md_hat=p,
+        p_md_stderr=math.sqrt(p * (1.0 - p) / trials),
+        p_md_asym=asym, trials=trials, seed=config.master_seed)
 
 
 # ===== Signal factors and the shared run =====
@@ -201,9 +201,9 @@ class _Plan:
 
 def _plan(config: ExperimentConfig, gamma: float, noise_vars,
           fixed_factor: np.ndarray | None) -> _Plan:
-    """The plan of run_md_reduced, run_md_full and the full estimate_fa route;
-    fixed_factor None means the eigen-factor of build_R_iid for the i.i.d.
-    model, else per-drop factors."""
+    """The plan of run_md_reduced, run_md_full and estimate_fa; fixed_factor
+    None means the eigen-factor of build_R_iid for the i.i.d. model, else
+    per-drop factors."""
     codebook = experiment_codebook(config)
     corr = correlation_matrix(config.channel)
     if fixed_factor is None and config.channel.model == "iid":
@@ -249,7 +249,8 @@ def _run_md(drop, config: ExperimentConfig, workers: int) -> list[ResultRow]:
     asym = [None if eigs is None else
             asymptotic_md(eigs, gamma, nv, config.k, config.l, config.n_r, config.n_t).value
             for nv in noise_vars]
-    return _rows_from_counts(config, gamma, counts, trials, asym)
+    return [_row(config, snr, gamma, int(cnt), trials, pred)
+            for snr, cnt, pred in zip(config.snr_db_list, counts, asym)]
 
 
 # ===== Reduced estimator =====
@@ -360,27 +361,16 @@ def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
 # ===== False alarm =====
 
 
-def _fa_reduced_drop(config: ExperimentConfig, gamma: float, drop_index: int):
-    """Noise-only frames that stay at or below gamma, counted as misses."""
-    rng = np.random.default_rng(derive_seed(config.master_seed, drop_index))
-    q = config.k * config.n_r * config.n_t
-    d_dim = config.k * config.n_r * (config.l - config.n_t)
-    count = 0
-    chunk = _reduced_chunk(q)
-    remaining = config.frames_per_drop
-    while remaining > 0:
-        c = min(chunk, remaining)
-        remaining -= c
-        xnum = rng.gamma(q, 1.0, size=c)
-        yden = rng.gamma(d_dim, 1.0, size=c)
-        count += int(np.sum(xnum * (1.0 - gamma) <= gamma * yden))
-    return np.array([count], dtype=np.int64), config.frames_per_drop
+_DROPS = {"reduced": _reduced_drop, "full": _full_drop}
+ESTIMATORS = tuple(_DROPS)
 
 
 def estimate_fa(config: ExperimentConfig, workers: int = 1,
                 gamma: float | None = None) -> ResultRow:
     """Noise-only run; the probability fields carry the false-alarm fraction.
 
+    The configured estimator's own drop runs with a zero-width signal factor
+    at unit noise variance, so a frame that is not missed is a false alarm.
     gamma defaults to the threshold calibrated for config.p_fa_target; an
     explicit value (including 0) overrides it.  The analytic column holds the
     closed-form false alarm at the same threshold.
@@ -389,19 +379,11 @@ def estimate_fa(config: ExperimentConfig, workers: int = 1,
         gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("threshold must be inside [0, 1)")
-    if config.estimator == "reduced":
-        task = partial(_fa_reduced_drop, config, gamma)
-    else:
-        no_signal = np.zeros((config.k * config.n_r * config.n_t, 0))
-        task = partial(_full_drop, _plan(config, gamma, (1.0,), no_signal))
+    no_signal = np.zeros((config.k * config.n_r * config.n_t, 0))
+    task = partial(_DROPS[config.estimator], _plan(config, gamma, (1.0,), no_signal))
     misses, trials = _merge_counts(_map_drops(task, config.drops, workers), 1)
-    p = (trials - int(misses[0])) / trials
-    return ResultRow(
-        approach=config.approach, k=config.k, snr_db=math.nan, gamma=gamma,
-        p_fa_target=config.p_fa_target, p_md_hat=p,
-        p_md_stderr=math.sqrt(p * (1.0 - p) / trials),
-        p_md_asym=fa_closed_form(gamma, config.k, config.l, config.n_r, config.n_t),
-        trials=trials, seed=config.master_seed)
+    return _row(config, math.nan, gamma, trials - int(misses[0]), trials,
+                fa_closed_form(gamma, config.k, config.l, config.n_r, config.n_t))
 
 
 # ===== Sweeps, slopes, CSV =====

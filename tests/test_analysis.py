@@ -400,12 +400,18 @@ def test_lemma1_cdf_polynomial_hand_values():
     assert abs(lemma1_cdf(GeneralizedFRatio((1.0, 1.0), (1.0, 2.0)), t) - 7 * t * t) <= 1e-16
 
 
-def test_lemma1_cdf_equal_weight_shortcut_matches_dp():
-    """Perturbing one weight by a negligible amount flips to the DP branch."""
+def test_lemma1_cdf_equal_weights_match_binomial_closed_form():
+    """With N equal denominator weights h_M is C(M+N-1, M) sigma^M, and a
+    negligible nudge of one weight moves the law negligibly."""
     t = 0.02
-    exact_equal = lemma1_cdf(GeneralizedFRatio((1.0,), (3.0, 3.0, 3.0)), t)
-    nudged = lemma1_cdf(GeneralizedFRatio((1.0,), (3.0, 3.0, 3.0 + 1e-12)), t)
-    assert abs(exact_equal - nudged) <= 1e-10 * exact_equal
+    for m, n in ((1, 3), (4, 64), (8, 256), (32, 1000)):
+        for sigma in (0.7, 1.0, 3.0):
+            equal = lemma1_cdf(GeneralizedFRatio((1.0,) * m, (sigma,) * n), t)
+            closed = t**m * math.comb(m + n - 1, m) * sigma**m
+            assert abs(equal - closed) <= 1e-14 * closed, (m, n, sigma)
+            nudged = lemma1_cdf(
+                GeneralizedFRatio((1.0,) * m, (sigma,) * (n - 1) + (sigma + 1e-12,)), t)
+            assert abs(equal - nudged) <= 1e-10 * equal, (m, n, sigma)
 
 
 def test_lemma1_cdf_first_order_of_exact_law():

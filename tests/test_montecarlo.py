@@ -258,6 +258,31 @@ def test_estimate_fa_full_estimator_route():
     assert estimate_fa(config, workers=2) == row
 
 
+def test_estimate_fa_reduced_estimator_route():
+    """The reduced drop with a zero-width factor: |z|^2 of q white entries
+    against t * y1, pinned to the last bit at any worker count."""
+    config = make_config(approach="random-phase", m_t=4, m_r=4, n_t=1, n_r=1, l=8,
+                         snr=(), p_fa_target=0.1, drops=10, frames_per_drop=300,
+                         estimator="reduced", master_seed=3)
+    row = estimate_fa(config)
+    band = 3 * math.sqrt(0.1 * 0.9 / 3000)
+    assert abs(row.p_md_hat - 0.1) <= band
+    assert results_to_csv([row]).splitlines()[1] == (
+        "random-phase,1,nan,0.28031432699884795,0.1,0.10066666666666667,"
+        "0.005493416935717662,0.10000000000000002,3000,3")
+    assert estimate_fa(config, workers=2) == row
+
+
+@pytest.mark.parametrize("estimator", ["reduced", "full"])
+def test_estimate_fa_rejects_unbuildable_codebook(estimator):
+    """Both routes build the run's codebook, as sweep does."""
+    config = make_config(n_t=3, snr=(0.0,), drops=2, frames_per_drop=10, estimator=estimator)
+    with pytest.raises(ValueError):
+        sweep(config)
+    with pytest.raises(ValueError):
+        estimate_fa(config)
+
+
 def test_full_estimator_geometric_csv_is_pinned():
     """Two paths, drops sampling their own path factors: pinned to the last
     bit, and the same for any worker count."""
@@ -363,8 +388,9 @@ def test_worker_count_does_not_change_multipath_results():
 
 def test_spawned_workers_match_serial(monkeypatch):
     """Workers started by spawn import omnisync afresh and receive the run
-    only by pickling; a reduced P=4 run and a full run still give the serial
-    CSV bytes.  The configs stay tiny: spawn start-up dominates."""
+    only by pickling; a reduced P=4 run and a full run, and the noise-only
+    run of each, still give the serial CSV bytes.  The configs stay tiny:
+    spawn start-up dominates."""
     spawn = multiprocessing.get_context("spawn")
     started = []
 
@@ -379,10 +405,14 @@ def test_spawned_workers_match_serial(monkeypatch):
         snr_db_list=(-6.0, 0.0), drops=4, frames_per_drop=50, master_seed=8)
     full = make_config(m_t=8, m_r=4, l=8, snr=(-6.0, 0.0), drops=4, frames_per_drop=50,
                        estimator="full", master_seed=8)
-    serial = [results_to_csv(sweep(c, workers=1)) for c in (reduced, full)]
+    def run(config, workers):
+        rows = sweep(config, workers=workers) + [estimate_fa(config, workers=workers)]
+        return results_to_csv(rows)
+
+    serial = [run(c, 1) for c in (reduced, full)]
     monkeypatch.setattr(montecarlo, "multiprocessing", SimpleNamespace(get_context=get_context))
-    assert [results_to_csv(sweep(c, workers=2)) for c in (reduced, full)] == serial
-    assert len(started) == 2, "both runs should go through a spawn pool"
+    assert [run(c, 2) for c in (reduced, full)] == serial
+    assert len(started) == 4, "every run should go through a spawn pool"
 
 
 @pytest.mark.parametrize("workers", [0, -1])
