@@ -5,9 +5,11 @@ hypothesis and Y_k = F_k^H Z_k under noise only, with Z_k white complex
 normal of variance noise_var per entry.  The detector compares a normalized
 ratio statistic T in [0, 1] against a threshold chosen from the closed-form
 false-alarm law; T is invariant to scaling of Y and to unitary recombination
-of the combiner columns.  T's numerator and denominator are Hermitian forms
-of Y, so for frames Y = S + s * Z the miss test num - gamma * den <= 0 is a
-quadratic in s whose coefficients serve every noise variance at once.
+of the combiner columns.  After slot k is whitened by C_k^-1, with
+C_k = cholesky(F_k^H F_k), T's numerator is the energy of the whitened
+frame on the pilot rows and its denominator the frame's whole energy; the
+Monte Carlo estimators score their frames in those coordinates, and this
+module's glrt_statistic stays the statistic they are tested against.
 """
 
 from __future__ import annotations
@@ -35,25 +37,6 @@ def make_sync_signal(n_t: int, l: int) -> np.ndarray:
     return x
 
 
-def _glrt_forms(u: np.ndarray, v: np.ndarray, x: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
-    """Real parts of the numerator and denominator of T as Hermitian forms of
-    two frame batches u and v, each shaped like glrt_statistic's y, summed
-    over the slots: with A = Y X^H and M_k = (F_k^H F_k)^-1,
-    num(u, v) = sum_k Re tr(M_k A_u,k (X X^H)^-1 A_v,k^H) and
-    den(u, v) = sum_k Re tr(M_k U_k V_k^H).  Both are symmetric in (u, v),
-    and at (y, y) they are the numerator and denominator of T.
-    """
-    xc = x.conj().T
-    inv_xxh = np.linalg.inv(x @ xc)
-    minv = np.stack([np.linalg.inv(fk.conj().T @ fk) for fk in f])
-    a_u = np.einsum("ckal,lt->ckat", u, xc)
-    a_v = a_u if v is u else np.einsum("ckal,lt->ckat", v, xc)
-    t1 = np.einsum("ckat,ts->ckas", a_u, inv_xxh)
-    num = np.einsum("ckas,ckbs,kba->ck", t1, a_v.conj(), minv).real
-    den = np.einsum("ckal,ckbl,kba->ck", u, v.conj(), minv).real
-    return num.sum(axis=1), den.sum(axis=1)
-
-
 def glrt_statistic(y: np.ndarray, x: np.ndarray, f) -> np.ndarray:
     """Generalized likelihood ratio statistic T for a batch of frames.
 
@@ -65,24 +48,16 @@ def glrt_statistic(y: np.ndarray, x: np.ndarray, f) -> np.ndarray:
     in [0, 1] up to rounding.  Returns one T per frame and raises ValueError
     when a frame has no energy, where T is undefined.
     """
-    num, den = _glrt_forms(y, y, x, f)
+    xc = x.conj().T
+    inv_xxh = np.linalg.inv(x @ xc)
+    minv = np.stack([np.linalg.inv(fk.conj().T @ fk) for fk in f])
+    a = np.einsum("ckal,lt->ckat", y, xc)
+    t1 = np.einsum("ckat,ts->ckas", a, inv_xxh)
+    num = np.einsum("ckas,ckbs,kba->ck", t1, a.conj(), minv).real.sum(axis=1)
+    den = np.einsum("ckal,ckbl,kba->ck", y, y.conj(), minv).real.sum(axis=1)
     if np.any(den <= 0.0):
         raise ValueError("frame has no energy; statistic undefined")
     return num / den
-
-
-def _miss_coefficients(ys: np.ndarray, yz: np.ndarray, x: np.ndarray, f,
-                       gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame coefficients (c0, c1, c2) of the miss test at threshold gamma
-    for the frames y = ys + s * yz, signal ys plus noise yz scaled by
-    s = sqrt(noise_var): num - gamma * den of T is the quadratic
-    c0 + s * (c1 + s * c2), so a frame misses (T <= gamma) when it is <= 0.
-    One batch of coefficients settles the test at every noise variance.
-    """
-    n_ss, d_ss = _glrt_forms(ys, ys, x, f)
-    n_sz, d_sz = _glrt_forms(ys, yz, x, f)
-    n_zz, d_zz = _glrt_forms(yz, yz, x, f)
-    return n_ss - gamma * d_ss, 2.0 * (n_sz - gamma * d_sz), n_zz - gamma * d_zz
 
 
 def threshold_from_fa(p_fa_target: float, k: int, l: int, n_r: int, n_t: int) -> float:

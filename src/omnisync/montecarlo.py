@@ -8,21 +8,22 @@ fixed 64-bit mix of the master seed and the drop index, and the per-drop
 frame stream is chunked by a config-determined size, so results are
 byte-identical for any worker count.
 
-Two estimators are provided: "reduced" scores the low-dimensional ratio form
-of the statistic (a weighted signal vector plus white noise over an
-independent chi-square), "full" draws post-combining frames (noise F_k^H Z_k
-as C_k w, C_k = cholesky(F_k^H F_k), w ~ CN(0, I)) and scores them through
-the detector's GLRT law.  Both draw the signal as g = S w through the same
-covariance factor S of the drop, and share the pooling and determinism
-contract.  Each chunk of frames is scored once: one signal and one noise draw
-serve every SNR point (common random numbers), so a frame's miss test is a
-quadratic in sqrt(noise_var) with per-frame coefficients computed once per
-chunk, and each SNR point is one evaluation and comparison of it.  Where R's
-spectrum does not depend on the drop (the i.i.d. model, or one path through
-the flat design), a fixed factor's squared singular values give the
-p_md_asym column.  False alarm is the signal-free run of either estimator's
-drop: a zero-width factor at unit noise variance, where a frame not missed
-is an alarm.
+Both estimators score a frame in combiner-whitened pilot coordinates: after
+slot k is whitened by C_k^-1 (C_k = cholesky(F_k^H F_k)), the detector's
+numerator is the frame's energy on the pilot rows and its denominator adds
+the energy off them.  One drop loop serves both.  The signal's pilot
+coordinates are g = sqrt(L/N_t) B S xi, with S the drop's covariance factor
+and B = blockdiag_k(I_{N_t} (x) C_k^-1).  "reduced" draws the noise's pilot
+coordinates as white entries and its off-pilot energy directly as a Gamma
+variate; "full" draws the whitened post-combining noise frames and reads
+both off them.  Each chunk of frames is scored once: one signal and one
+noise draw serve every SNR point (common random numbers), so a frame's miss
+test is a quadratic in sqrt(noise_var) with per-frame coefficients computed
+once per chunk.  Where the whitened spectrum does not depend on the drop
+(the i.i.d. model, or one path through the flat design), it gives the
+p_md_asym column.  False alarm is the signal-free run of either estimator:
+a zero-width factor at unit noise variance, where a frame not missed is an
+alarm.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ import numpy as np
 
 from .analysis import _numerical_rank, asymptotic_md, build_R_iid, fa_closed_form, path_factor
 from .channel import ChannelConfig, PathSet, _complex_normal, correlation_matrix, sample_paths
-from .codebook import NAMED_DESIGNS, Codebook, build_approach_codebook
-from .detector import _miss_coefficients, glrt_statistic, make_sync_signal, threshold_from_fa
+from .codebook import NAMED_DESIGNS, UNITARY_TOL, Codebook, build_approach_codebook
+from .detector import make_sync_signal, threshold_from_fa
 
 DESK_P_FA = 1e-2
+ESTIMATORS = ("reduced", "full")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -154,13 +156,12 @@ def _merge_counts(results, n_points: int) -> tuple[np.ndarray, int]:
     return counts, trials
 
 
-def _count_misses(counts: np.ndarray, c0, c1, c2, noise_vars, miss) -> None:
+def _count_misses(counts: np.ndarray, c0, c1, c2, noise_vars) -> None:
     """Adds to counts[i] the frames whose miss quadratic c0 + s * (c1 + s * c2)
-    in s = sqrt(noise_vars[i]) passes miss(value, 0.0): np.less_equal for the
-    full estimator's T <= gamma, np.less for the reduced form's strict test."""
+    in s = sqrt(noise_vars[i]) is <= 0, the detector's T <= gamma."""
     for i, nv in enumerate(noise_vars):
         s = math.sqrt(nv)
-        counts[i] += int(np.count_nonzero(miss(c0 + s * (c1 + s * c2), 0.0)))
+        counts[i] += int(np.count_nonzero(c0 + s * (c1 + s * c2) <= 0.0))
 
 
 def _row(config, snr_db: float, gamma: float, hits: int, trials: int, asym) -> ResultRow:
@@ -185,65 +186,166 @@ def _cov_factor(r: np.ndarray) -> np.ndarray:
     return v[:, :rank] * np.sqrt(np.maximum(w[:rank], 0.0))
 
 
+def _combiner_whitener(codebook: Codebook) -> np.ndarray | None:
+    """Each slot's C_k^-1, C_k = cholesky(F_k^H F_k), stacked (K, N_r, N_r).
+
+    None when every Gram is within UNITARY_TOL of I: whitening those would
+    only move last bits (omni-golay Grams are off by 1.1e-16 at M_r = 8).
+    """
+    grams = np.stack([f.conj().T @ f for f in codebook.f])
+    if np.max(np.abs(grams - np.eye(grams.shape[1]))) <= UNITARY_TOL:
+        return None
+    return np.linalg.inv(np.linalg.cholesky(grams))
+
+
+def _whiten(cinv: np.ndarray | None, factor: np.ndarray) -> np.ndarray:
+    """B S with B = blockdiag_k(I_{N_t} (x) C_k^-1): C_k^-1 applied to each
+    transmit stream's N_r rows of slot k, so B R B^H is the covariance of the
+    combiner-whitened effective channels."""
+    if cinv is None:
+        return factor
+    k, n_r = cinv.shape[:2]
+    blocks = factor.reshape(k, -1, n_r, factor.shape[1])
+    return (cinv[:, None] @ blocks).reshape(factor.shape)
+
+
 @dataclass(frozen=True)
 class _Plan:
-    """One run of either estimator.  fixed_factor is the run's signal factor
-    (the i.i.d. model's, or a (q, 0) factor for noise-only frames); when it is
-    None every drop factors its own path angles."""
+    """One run of either estimator.  cinv is _combiner_whitener's output and
+    fixed_factor the run's whitened signal factor (the i.i.d. model's, or a
+    (q, 0) factor for noise-only frames); when it is None every drop
+    factors its own path angles."""
 
     config: ExperimentConfig
     gamma: float
     noise_vars: tuple[float, ...]
     codebook: Codebook
     sqrt_psi: np.ndarray
+    cinv: np.ndarray | None
     fixed_factor: np.ndarray | None
 
 
 def _plan(config: ExperimentConfig, gamma: float, noise_vars,
           fixed_factor: np.ndarray | None) -> _Plan:
     """The plan of run_md_reduced, run_md_full and estimate_fa; fixed_factor
-    None means the eigen-factor of build_R_iid for the i.i.d. model, else
-    per-drop factors."""
+    None means the whitened eigen-factor of build_R_iid for the i.i.d.
+    model, else per-drop factors."""
     codebook = experiment_codebook(config)
     corr = correlation_matrix(config.channel)
+    cinv = _combiner_whitener(codebook)
     if fixed_factor is None and config.channel.model == "iid":
-        fixed_factor = _cov_factor(build_R_iid(codebook, corr.psi))
-    return _Plan(config, gamma, noise_vars, codebook, corr.sqrt_factor, fixed_factor)
+        fixed_factor = _whiten(cinv, _cov_factor(build_R_iid(codebook, corr.psi)))
+    return _Plan(config, gamma, noise_vars, codebook, corr.sqrt_factor, cinv, fixed_factor)
 
 
 def _prediction_spectrum(plan: _Plan) -> np.ndarray | None:
-    """Drop-independent spectrum of the effective covariance, when one exists:
-    the squared singular values of the run's fixed factor, or, for a single
-    path through the flat design, of path_factor at angle 0 (every angle
-    gives the same spectrum).  That single-path spectrum has the rank of psi,
-    and its analysis needs it full (rank K)."""
+    """Drop-independent spectrum of the whitened effective covariance, when
+    one exists: the squared singular values of the run's fixed factor, or,
+    for a single path through the flat design, of the whitened path_factor
+    at angle 0 (every angle gives the same spectrum).  That single-path
+    spectrum has the rank of psi, and its analysis needs it full (rank K)."""
     cfg = plan.config
     if plan.fixed_factor is not None:
         return np.linalg.svd(plan.fixed_factor, compute_uv=False) ** 2
     if cfg.channel.p != 1 or cfg.approach != "omni-golay":
         return None
-    factor = path_factor(plan.codebook, PathSet(np.zeros(1), np.zeros(1)), (1.0,), plan.sqrt_psi)
+    factor = _whiten(plan.cinv, path_factor(plan.codebook, PathSet(np.zeros(1), np.zeros(1)),
+                                            (1.0,), plan.sqrt_psi))
     eigs = np.linalg.svd(factor, compute_uv=False) ** 2
     return eigs if _numerical_rank(eigs, factor.shape[0]) == cfg.k else None
 
 
 def _drop_factor(plan: _Plan, rng: np.random.Generator) -> np.ndarray:
-    """The drop's signal factor S (S S^H = R): slot-major rows, one per entry
-    of vec(G_k), N_r receive streams within each of N_t transmit streams."""
+    """The drop's whitened signal factor B S (S S^H = R): slot-major rows, one
+    per entry of vec(C_k^-1 G_k), N_r receive streams within each of N_t
+    transmit streams."""
     if plan.fixed_factor is not None:
         return plan.fixed_factor
     cfg = plan.config
     paths = sample_paths(cfg.channel, rng)
-    return path_factor(plan.codebook, paths, cfg.channel.beta, plan.sqrt_psi)
+    return _whiten(plan.cinv, path_factor(plan.codebook, paths, cfg.channel.beta, plan.sqrt_psi))
 
 
-def _run_md(drop, config: ExperimentConfig, workers: int) -> list[ResultRow]:
+def _reduced_chunk(q: int) -> int:
+    return min(1 << 16, max(1, (1 << 20) // max(q, 1)))
+
+
+def _full_chunk(k: int, m_r: int, l: int) -> int:
+    return min(4096, max(1, (1 << 19) // (k * m_r * l)))
+
+
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a^H b) of every column pair of a and b."""
+    return np.einsum("qc,qc->c", a.real, b.real) + np.einsum("qc,qc->c", a.imag, b.imag)
+
+
+def _reduced_noise(q: int, d_dim: int, rng: np.random.Generator, c: int):
+    """c frames of the reduced form: white pilot coordinates z (q x c) and
+    the off-pilot energy y1 drawn directly as Gamma(d_dim)."""
+    z = _complex_normal(rng, (q, c))
+    return z, rng.gamma(d_dim, 1.0, size=c)
+
+
+def _full_noise(pilot: np.ndarray, shape: tuple[int, int, int], rng: np.random.Generator,
+                c: int):
+    """c whitened frames w ~ CN(0, I) of shape (K, N_r, L): their pilot
+    coordinates z = w X^H sqrt(N_t / L) (pilot is X^H sqrt(N_t / L), with
+    orthonormal columns) in the factor's row order, and their off-pilot
+    energy y1 = |w|^2 - |z|^2."""
+    w = _complex_normal(rng, (c,) + shape)
+    # einsum, not a BLAS product: with threaded OpenBLAS (2-core Xeon) the
+    # product took 3 ms per paper-sec6 chunk against 0.15 ms here, and its
+    # spinning threads doubled the CPU time of noise-only runs.
+    z = np.einsum("ckal,lt->ckat", w, pilot).swapaxes(2, 3).reshape(c, -1).T
+    energy = w.reshape(c, -1).view(np.float64)
+    return z, np.einsum("ci,ci->c", energy, energy) - _re_inner(z, z)
+
+
+def _drop(estimator: str, plan: _Plan, drop_index: int):
+    """Misses (T <= gamma) per noise variance in one drop of either estimator.
+
+    Each chunk draws the whitened signal's pilot coordinates
+    g = sqrt(L / N_t) B S xi, then the estimator's noise: its white pilot
+    coordinates z and off-pilot energy y1.  T <= gamma is
+    |g + s z|^2 <= t s^2 y1 (t = gamma / (1 - gamma)), a quadratic in
+    s = sqrt(noise_var) whose coefficients serve every noise variance.  A
+    zero-width factor skips the signal draw and terms.
+    """
+    cfg = plan.config
+    rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
+    amp_factor = math.sqrt(cfg.l / cfg.n_t) * _drop_factor(plan, rng)
+    width = amp_factor.shape[1]
+    if estimator == "reduced":
+        q = cfg.k * cfg.n_r * cfg.n_t
+        chunk = _reduced_chunk(q)
+        noise = partial(_reduced_noise, q, cfg.k * cfg.n_r * (cfg.l - cfg.n_t))
+    else:
+        chunk = _full_chunk(cfg.k, cfg.m_r, cfg.l)
+        pilot = make_sync_signal(cfg.n_t, cfg.l).conj().T * math.sqrt(cfg.n_t / cfg.l)
+        noise = partial(_full_noise, pilot, (cfg.k, cfg.n_r, cfg.l))
+    t_ratio = plan.gamma / (1.0 - plan.gamma)
+    counts = np.zeros(len(plan.noise_vars), dtype=np.int64)
+    remaining = cfg.frames_per_drop
+    while remaining > 0:
+        c = min(chunk, remaining)
+        remaining -= c
+        xi = _complex_normal(rng, (width, c)) if width else None
+        z, y1 = noise(rng, c)
+        c0 = c1 = 0.0
+        if width:
+            g = amp_factor @ xi
+            c0, c1 = _re_inner(g, g), 2.0 * _re_inner(g, z)
+        _count_misses(counts, c0, c1, _re_inner(z, z) - t_ratio * y1, plan.noise_vars)
+    return counts, cfg.frames_per_drop
+
+
+def _run_md(estimator: str, config: ExperimentConfig, workers: int) -> list[ResultRow]:
     if not config.snr_db_list:
         return []
     gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
     noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
     plan = _plan(config, gamma, noise_vars, None)
-    results = _map_drops(partial(drop, plan), config.drops, workers)
+    results = _map_drops(partial(_drop, estimator, plan), config.drops, workers)
     counts, trials = _merge_counts(results, len(noise_vars))
     eigs = _prediction_spectrum(plan)
     asym = [None if eigs is None else
@@ -253,124 +355,40 @@ def _run_md(drop, config: ExperimentConfig, workers: int) -> list[ResultRow]:
             for snr, cnt, pred in zip(config.snr_db_list, counts, asym)]
 
 
-# ===== Reduced estimator =====
-
-
-def _reduced_chunk(q: int) -> int:
-    return min(1 << 16, max(1, (1 << 20) // max(q, 1)))
-
-
-def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a^H b) of every column pair of a and b."""
-    return np.einsum("qc,qc->c", a.real, b.real) + np.einsum("qc,qc->c", a.imag, b.imag)
-
-
-def _reduced_drop(plan: _Plan, drop_index: int):
-    cfg = plan.config
-    rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
-    q = cfg.k * cfg.n_r * cfg.n_t
-    d_dim = cfg.k * cfg.n_r * (cfg.l - cfg.n_t)
-    t_ratio = plan.gamma / (1.0 - plan.gamma)
-    amp_factor = math.sqrt(cfg.l / cfg.n_t) * _drop_factor(plan, rng)
-    counts = np.zeros(len(plan.noise_vars), dtype=np.int64)
-    chunk = _reduced_chunk(q)
-    remaining = cfg.frames_per_drop
-    while remaining > 0:
-        c = min(chunk, remaining)
-        remaining -= c
-        g = amp_factor @ _complex_normal(rng, (amp_factor.shape[1], c))
-        z2 = _complex_normal(rng, (q, c))
-        y1 = rng.gamma(d_dim, 1.0, size=c)
-        # |g + s z|^2 < t s^2 y1 as a quadratic in s = sqrt(noise_var).
-        _count_misses(counts, _re_inner(g, g), 2.0 * _re_inner(g, z2),
-                      _re_inner(z2, z2) - t_ratio * y1, plan.noise_vars, np.less)
-    return counts, cfg.frames_per_drop
+# ===== The two estimators and false alarm =====
 
 
 def run_md_reduced(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Missed-detection sweep through the reduced ratio form.
 
-    Per frame the squared noise norm in the denominator is drawn directly as
-    a Gamma(K*N_r*(L-N_t)) variate; the numerator draws the signal vector
-    g = S w through the drop's covariance factor S (the same draw as the
-    full estimator's) and shares its noise draw across the SNR list (common
-    random numbers): the miss test |g + s z|^2 < t s^2 y1 at each
-    s = sqrt(noise_var) reads the chunk's |g|^2, 2 Re(g^H z) and
-    |z|^2 - t y1.  Geometric drops use the explicit factor
+    Per frame the off-pilot noise energy is drawn directly as a
+    Gamma(K*N_r*(L-N_t)) variate and the pilot-row noise as K*N_r*N_t white
+    entries; the signal g is the full estimator's draw through the drop's
+    whitened factor.  Geometric drops use the explicit factor
     analysis.path_factor of their angles; the i.i.d. model's fixed
     covariance is factored once per run.
     """
-    return _run_md(_reduced_drop, config, workers)
-
-
-# ===== Full estimator =====
-
-
-def _full_chunk(k: int, m_r: int, l: int) -> int:
-    return min(4096, max(1, (1 << 19) // (k * m_r * l)))
-
-
-def _effective_channels(g: np.ndarray, k: int, n_t: int, n_r: int) -> np.ndarray:
-    """G_k = F_k^H H_k W_k, shape (c, K, N_r, N_t), read from the columns
-    g = [vec(G_k)]_k, as a strided view."""
-    return g.T.reshape(g.shape[1], k, n_t, n_r).swapaxes(2, 3)
-
-
-def _full_drop(plan: _Plan, drop_index: int):
-    """Misses (T <= gamma) per noise variance in one drop: G_k is read from
-    g = S w, F_k^H Z_k is drawn as C_k w with C_k = cholesky(F_k^H F_k), and
-    each chunk's miss-test coefficients serve every noise variance."""
-    cfg = plan.config
-    cb = plan.codebook
-    rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
-    factor = _drop_factor(plan, rng)
-    x = make_sync_signal(cfg.n_t, cfg.l)
-    noise_factor = np.linalg.cholesky(np.stack([f.conj().T @ f for f in cb.f]))
-    counts = np.zeros(len(plan.noise_vars), dtype=np.int64)
-    chunk = _full_chunk(cfg.k, cfg.m_r, cfg.l)
-    remaining = cfg.frames_per_drop
-    while remaining > 0:
-        c = min(chunk, remaining)
-        remaining -= c
-        ys = None
-        if factor.shape[1] > 0:
-            g = factor @ _complex_normal(rng, (factor.shape[1], c))
-            ys = np.einsum("ckab,bl->ckal", _effective_channels(g, cfg.k, cfg.n_t, cfg.n_r), x)
-        yz = noise_factor @ _complex_normal(rng, (c, cfg.k, cfg.n_r, cfg.l))
-        if ys is None:
-            # T is scale-invariant, so signal-free frames are scored unscaled.
-            counts += int(np.sum(glrt_statistic(yz, x, cb.f) <= plan.gamma))
-        else:
-            _count_misses(counts, *_miss_coefficients(ys, yz, x, cb.f, plan.gamma),
-                          plan.noise_vars, np.less_equal)
-    return counts, cfg.frames_per_drop
+    return _run_md("reduced", config, workers)
 
 
 def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Missed-detection sweep through post-combining frame synthesis.
 
-    Frames are drawn in config-determined chunks (the signal g = S w through
-    the same factor as the reduced estimator, then the combined noise
-    F_k^H Z_k, N_r rows per slot); noise draws are shared across the SNR
-    list, so each chunk is scored once, through the coefficients of the
-    detector's miss test as a quadratic in sqrt(noise_var).
+    Each frame draws its combiner-whitened noise C_k^-1 F_k^H Z_k as white
+    N_r x L blocks per slot and reads the detector's numerator and
+    denominator off it: the energy on the pilot rows and off them.  The
+    signal is the reduced estimator's draw, so the two routes differ only in
+    how the noise reaches those two energies.
     """
-    return _run_md(_full_drop, config, workers)
-
-
-# ===== False alarm =====
-
-
-_DROPS = {"reduced": _reduced_drop, "full": _full_drop}
-ESTIMATORS = tuple(_DROPS)
+    return _run_md("full", config, workers)
 
 
 def estimate_fa(config: ExperimentConfig, workers: int = 1,
                 gamma: float | None = None) -> ResultRow:
     """Noise-only run; the probability fields carry the false-alarm fraction.
 
-    The configured estimator's own drop runs with a zero-width signal factor
-    at unit noise variance, so a frame that is not missed is a false alarm.
+    The configured estimator's drop runs with a zero-width signal factor at
+    unit noise variance, so a frame that is not missed is a false alarm.
     gamma defaults to the threshold calibrated for config.p_fa_target; an
     explicit value (including 0) overrides it.  The analytic column holds the
     closed-form false alarm at the same threshold.
@@ -380,7 +398,7 @@ def estimate_fa(config: ExperimentConfig, workers: int = 1,
     if not 0.0 <= gamma < 1.0:
         raise ValueError("threshold must be inside [0, 1)")
     no_signal = np.zeros((config.k * config.n_r * config.n_t, 0))
-    task = partial(_DROPS[config.estimator], _plan(config, gamma, (1.0,), no_signal))
+    task = partial(_drop, config.estimator, _plan(config, gamma, (1.0,), no_signal))
     misses, trials = _merge_counts(_map_drops(task, config.drops, workers), 1)
     return _row(config, math.nan, gamma, trials - int(misses[0]), trials,
                 fa_closed_form(gamma, config.k, config.l, config.n_r, config.n_t))

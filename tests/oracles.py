@@ -1,6 +1,6 @@
-"""Slot-by-slot oracles of the effective covariance, shared by the test
-modules: a loop of outer products that shares no code with the batched
-factor it checks."""
+"""Slot-by-slot oracles of the effective covariance and its combiner
+whitening, shared by the test modules: loops of outer products and
+Kronecker blocks that share no code with the batched factors they check."""
 
 import numpy as np
 
@@ -27,3 +27,15 @@ def loop_covariance_oracle(codebook, paths, beta, psi):
                 r[i * q0:(i + 1) * q0, j * q0:(j + 1) * q0] += (
                     psi[i, j] * b * np.outer(a[i], a[j].conj()))
     return r
+
+
+def loop_whitener(codebook):
+    """B = blockdiag_k(I_{N_t} kron C_k^-1), C_k = cholesky(F_k^H F_k), block
+    by block: the row transform that whitens [vec(G_k)]_k for the combiners."""
+    n_t, n_r = codebook.n_t, codebook.n_r
+    q0 = n_t * n_r
+    b = np.zeros((codebook.k * q0,) * 2, dtype=np.complex128)
+    for s, fk in enumerate(codebook.f):
+        b[s * q0:(s + 1) * q0, s * q0:(s + 1) * q0] = np.kron(
+            np.eye(n_t), np.linalg.inv(np.linalg.cholesky(fk.conj().T @ fk)))
+    return b

@@ -42,13 +42,13 @@ from omnisync.montecarlo import (
     _merge_counts,
     _plan,
     _Plan,
+    _drop,
     _prediction_spectrum,
-    _reduced_drop,
     derive_seed,
     experiment_codebook,
     run_md_reduced,
 )
-from oracles import loop_covariance_oracle, loop_path_vectors
+from oracles import loop_covariance_oracle, loop_path_vectors, loop_whitener
 
 
 def sec6_psi(k):
@@ -216,9 +216,12 @@ def test_prediction_spectrum_undefined_without_full_rank_or_flat_design():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_prediction_spectrum_of_iid_model(k):
+    """The spectrum of R_w = B R B^H: random-phase combiners have Grams far
+    from I, so the unwhitened spectrum of R fails."""
     plan = prediction_plan("random-phase", k, model="iid")
+    b = loop_whitener(plan.codebook)
     r = build_R_iid(plan.codebook, correlation_matrix(plan.config.channel).psi)
-    want = np.linalg.eigvalsh(r)[::-1]
+    want = np.linalg.eigvalsh(b @ r @ b.conj().T)[::-1]
     eigs = _prediction_spectrum(plan)
     assert np.max(np.abs(eigs - want[:eigs.size])) <= 1e-12 * want[0]
     assert np.max(np.abs(want[eigs.size:]), initial=0.0) <= 1e-12 * want[0]
@@ -353,14 +356,33 @@ def test_md_exact_matches_reduced_sampler():
     gamma = threshold_from_fa(config.p_fa_target, 1, 16, 2, 2)
     noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
     plan = _Plan(config, gamma, noise_vars, experiment_codebook(config),
-                 correlation_matrix(channel).sqrt_factor, np.diag(np.sqrt(eigs)))
-    counts, trials = _merge_counts([_reduced_drop(plan, d) for d in range(config.drops)],
+                 correlation_matrix(channel).sqrt_factor, None, np.diag(np.sqrt(eigs)))
+    counts, trials = _merge_counts([_drop("reduced", plan, d) for d in range(config.drops)],
                                    len(noise_vars))
     for snr, nv, cnt in zip(config.snr_db_list, noise_vars, counts):
         law = md_exact(eigs, nv, gamma, 1, 16, 2, 2)
         sigma = math.sqrt(law * (1.0 - law) / trials)
         assert abs(cnt / trials - law) <= 3 * sigma, (
             f"at {snr} dB sampled {cnt / trials:.4e} vs exact {law:.4e}")
+
+
+def test_md_exact_of_whitened_spectrum_matches_reduced_sampler():
+    """Random-phase combiners with N_r = 2 have Grams far from I, so the
+    detector's law is md_exact on the spectrum of R_w = B R B^H, not of R
+    (which reads about 0.080 against 0.068 here)."""
+    channel = ChannelConfig(m_t=8, m_r=4, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
+                            t_s=SEC6_SLOT_INTERVAL_S, k=2, model="iid")
+    config = ExperimentConfig(
+        approach="random-phase", k=2, m_t=8, m_r=4, n_t=2, n_r=2, l=8, channel=channel,
+        snr_db_list=(0.0,), drops=20, frames_per_drop=2000, master_seed=3)
+    cb = experiment_codebook(config)
+    b = loop_whitener(cb)
+    r = build_R_iid(cb, correlation_matrix(channel).psi)
+    (row,) = run_md_reduced(config)
+    law = md_exact(np.linalg.eigvalsh(b @ r @ b.conj().T)[::-1], 1.0, row.gamma, 2, 8, 2, 2)
+    sigma = math.sqrt(law * (1.0 - law) / row.trials)
+    assert abs(row.p_md_hat - law) <= 3 * sigma, (
+        f"sampled {row.p_md_hat:.4e} vs exact {law:.4e} +- {3 * sigma:.1e}")
 
 
 def test_md_exact_matches_multipath_sampler():

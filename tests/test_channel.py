@@ -25,7 +25,7 @@ from omnisync.channel import (
     uniform_gains,
 )
 from omnisync.codebook import build_approach_codebook
-from omnisync.montecarlo import _cov_factor, _effective_channels
+from omnisync.montecarlo import _cov_factor
 from oracles import loop_covariance_oracle
 
 
@@ -185,9 +185,11 @@ def test_complex_normal_matches_sum_expression_bit_for_bit(shape):
 
 def draw_effective_channels(seed, factor, codebook, frames):
     """frames draws of G_k, shape (frames, K, N_r, N_t), as the estimators
-    draw them: g = S w, read slot by slot."""
+    draw them before whitening: the columns g = S w = [vec(G_k)]_k, read
+    slot by slot as a strided view."""
     w = _complex_normal(np.random.default_rng(seed), (factor.shape[1], frames))
-    return _effective_channels(factor @ w, codebook.k, codebook.n_t, codebook.n_r)
+    g = factor @ w
+    return g.T.reshape(frames, codebook.k, codebook.n_t, codebook.n_r).swapaxes(2, 3)
 
 
 def path_shape(codebook, paths, slot, p):

@@ -1,8 +1,9 @@
 """Detector tests: pilot structure, the batched GLRT statistic against a
 per-frame loop oracle and a hand projection oracle, invariances, threshold
 calibration, an end-to-end false-alarm rate check against the closed form,
+the whitened pilot coordinates both estimators score against the statistic,
 one drop of the full estimator against per-frame synthesis, and the law of
-the combined noise that estimator draws.
+the noise that estimator draws.
 """
 
 import math
@@ -22,18 +23,15 @@ from omnisync.channel import (
     steering,
 )
 from omnisync.codebook import Codebook, build_approach_codebook, build_omni_codebook
-from omnisync.detector import (
-    _glrt_forms,
-    _miss_coefficients,
-    glrt_statistic,
-    make_sync_signal,
-    threshold_from_fa,
-)
+from omnisync.detector import glrt_statistic, make_sync_signal, threshold_from_fa
 from omnisync.montecarlo import (
     ExperimentConfig,
+    _combiner_whitener,
     _cov_factor,
-    _full_drop,
+    _drop,
+    _full_noise,
     _plan,
+    _whiten,
     derive_seed,
     estimate_fa,
     experiment_codebook,
@@ -206,50 +204,33 @@ def test_glrt_zero_frame_raises():
         glrt_statistic(batch[1:2], x, scalar_codebook().f)
 
 
-# ===== Miss-test coefficients =====
+# ===== Whitened pilot coordinates =====
 
 
-def random_frames(rng, design, n, k, frames, l=16):
-    """A codebook's combiners, the pilot, and a signal and a noise batch."""
+@pytest.mark.parametrize("design,n", ORACLE_DESIGNS)
+def test_whitened_pilot_energies_give_the_statistic(design, n):
+    """On frames y = G X + s C w, with C_k = cholesky(F_k^H F_k) colouring
+    white w into the combined noise, the pilot-row energy |g + s z|^2 over
+    the off-pilot energy s^2 y1, in the coordinates both estimators score
+    (g = sqrt(L/N_t) B vec(G), and z, y1 of the full noise draw of w), is
+    T / (1 - T) of glrt_statistic: the two routes meet by derivation."""
+    k, l, frames, seed = 2, 16, 400, 43
+    rng = np.random.default_rng(seed)
     cb = build_approach_codebook(design, 8, n, 8, n, k, seed=5)
     x = make_sync_signal(n, l)
     gains = _complex_normal(rng, (frames, k, n, n)) * rng.uniform(0.0, 2.0, (frames, 1, 1, 1))
-    ys = np.einsum("ckab,bl->ckal", gains, x)
-    return cb, x, ys, _complex_normal(rng, (frames, k, n, l))
-
-
-@pytest.mark.parametrize("design,n", ORACLE_DESIGNS)
-def test_glrt_forms_on_the_diagonal_give_the_statistic(design, n):
-    rng = np.random.default_rng(41)
-    cb, x, ys, yz = random_frames(rng, design, n, 3, 40)
-    y = ys + yz
-    num, den = _glrt_forms(y, y, x, cb.f)
-    t = glrt_statistic(y, x, cb.f)
-    assert np.max(np.abs(num / den - t)) <= 1e-12
-    want = np.array([loop_glrt_statistic(frame, cb, x)[0] for frame in y])
-    assert np.max(np.abs(t - want)) <= 1e-12
-
-
-@pytest.mark.parametrize("design,n", ORACLE_DESIGNS)
-def test_miss_coefficients_expand_the_statistic(design, n):
-    """c0 + s c1 + s^2 c2 is num - gamma den at ys + s yz for every s, and its
-    sign gives T <= gamma on every frame not within rounding of gamma."""
-    rng = np.random.default_rng(43)
-    cb, x, ys, yz = random_frames(rng, design, n, 2, 400)
-    gamma = 0.3
-    c0, c1, c2 = _miss_coefficients(ys, yz, x, cb.f, gamma)
-    assert c0.shape == c1.shape == c2.shape == (400,)
-    decided = 0
-    for s in (0.05, 0.3, 1.0, 2.5, 10.0):
-        y = ys + s * yz
-        num, den = _glrt_forms(y, y, x, cb.f)
-        poly = c0 + s * c1 + s * s * c2
-        assert np.max(np.abs(poly - (num - gamma * den)) / (num + gamma * den)) <= 1e-12
-        t = glrt_statistic(y, x, cb.f)
-        clear = np.abs(t - gamma) > 1e-12
-        assert np.array_equal((poly <= 0.0)[clear], (t <= gamma)[clear])
-        decided += int(np.count_nonzero((t <= gamma)[clear]))
-    assert 0 < decided < 5 * 400, "the decisions should not be trivial"
+    vec_g = gains.swapaxes(2, 3).reshape(frames, -1).T  # [vec(G_k)]_k, one column per frame
+    g = math.sqrt(l / n) * _whiten(_combiner_whitener(cb), vec_g)
+    pilot = x.conj().T * math.sqrt(n / l)
+    z, y1 = _full_noise(pilot, (k, n, l), np.random.default_rng(seed + 1), frames)
+    w = _complex_normal(np.random.default_rng(seed + 1), (frames, k, n, l))
+    chol = np.stack([np.linalg.cholesky(f.conj().T @ f) for f in cb.f])
+    # s >= 0.3 keeps T away from 1, where 1 - T would round away digits.
+    for s in (0.3, 1.0, 2.5, 10.0):
+        t = glrt_statistic(np.einsum("ckab,bl->ckal", gains, x) + s * (chol @ w), x, cb.f)
+        ratio = np.sum(np.abs(g + s * z) ** 2, axis=0) / (s * s * y1)
+        assert np.max(np.abs(ratio * (1.0 - t) / t - 1.0)) <= 1e-12
+        assert 0.05 < np.median(t) < 0.95, "the statistic should not sit at an extreme"
 
 
 # ===== Threshold calibration =====
@@ -335,7 +316,7 @@ def test_full_drop_matches_per_frame_oracle(model):
     noise_vars = (1.0,) if model == "noise-only" else (10.0 ** 0.6, 10.0 ** 0.3)
     no_signal = np.zeros((k * n * n, 0))
     plan = _plan(config, gamma, noise_vars, no_signal if model == "noise-only" else None)
-    counts, trials = _full_drop(plan, 0)
+    counts, trials = _drop("full", plan, 0)
     assert trials == frames
 
     rng = np.random.default_rng(derive_seed(9, 0))
@@ -366,11 +347,14 @@ def test_full_drop_matches_per_frame_oracle(model):
 
 
 def test_full_drop_noise_has_combiner_covariance(monkeypatch):
-    """The combined noise the statistic sees has i.i.d. CN(0, F_k^H F_k)
-    columns: per slot the combiner Gram, nothing across columns or slots, no
-    pseudo-covariance.  The codebook's Grams differ between slots and are not
-    multiples of I, so a white, transposed, unconjugated or shared factor
-    fails; the noise-only full route then meets the closed-form false alarm."""
+    """The combined noise F_k^H Z_k has covariance F_k^H F_k per slot, so
+    whitened by C_k^-1 it is white, and that is what the full drop scores:
+    its pilot coordinates are i.i.d. CN(0, 1) (no covariance across entries,
+    no pseudo-covariance) and its off-pilot energy has mean
+    K*N_r*(L - N_t).  The codebook's Grams differ between slots and are not
+    multiples of I, so a drop that skipped whitening would see coloured
+    noise in the statistic; the noise-only full route then meets the
+    closed-form false alarm."""
     k, m, n, l = 3, 8, 2, 4
     channel = ChannelConfig(m_t=m, m_r=m, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
                             t_s=SEC6_SLOT_INTERVAL_S, k=k)
@@ -385,24 +369,22 @@ def test_full_drop_noise_has_combiner_covariance(monkeypatch):
 
     seen = []
 
-    def record(y, x, f):
-        seen.append(y.copy())
-        return np.ones(y.shape[0])
+    def record(*args):
+        seen.append(_full_noise(*args))
+        return seen[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr("omnisync.montecarlo.glrt_statistic", record)
-        _full_drop(_plan(config, 0.5, (1.0,), np.zeros((k * n, 0))), 0)
-    v = np.concatenate(seen).reshape(config.frames_per_drop, -1)  # (frames, K*N_r*L)
-    want = np.zeros((v.shape[1],) * 2, dtype=np.complex128)
-    for s in range(k):
-        for col in range(l):
-            idx = s * n * l + np.arange(n) * l + col
-            want[np.ix_(idx, idx)] = grams[s]
-    cov = v.T @ v.conj() / len(v)
-    pseudo = v.T @ v / len(v)
-    sigma = np.sqrt(np.outer(want.diagonal().real, want.diagonal().real) / len(v))
-    assert np.max(np.abs(cov - want) / sigma) <= 4.0
-    assert np.max(np.abs(pseudo) / sigma) <= 4.0
+        patch.setattr("omnisync.montecarlo._full_noise", record)
+        _drop("full", _plan(config, 0.5, (1.0,), np.zeros((k * n, 0))), 0)
+    z = np.concatenate([zc for zc, _ in seen], axis=1)  # (K*N_r*N_t, frames)
+    y1 = np.concatenate([y for _, y in seen])
+    frames = config.frames_per_drop
+    assert z.shape == (k * n, frames)
+    sigma = 1.0 / math.sqrt(frames)
+    assert np.max(np.abs(z @ z.conj().T / frames - np.eye(k * n)) / sigma) <= 4.0
+    assert np.max(np.abs(z @ z.T / frames) / sigma) <= 4.0
+    d = k * n * (l - 1)
+    assert abs(np.mean(y1) - d) <= 4.0 * math.sqrt(d / frames)
 
     row = estimate_fa(replace(config, drops=10, frames_per_drop=500))
     exact = fa_closed_form(row.gamma, k, l, n, 1)
