@@ -13,24 +13,27 @@ slot k is whitened by C_k^-1 (C_k = cholesky(F_k^H F_k)), the detector's
 numerator is the frame's energy on the pilot rows and its denominator adds
 the energy off them.  One drop loop serves both.  The signal's pilot
 coordinates are g = sqrt(L/N_t) B S xi, with S the drop's covariance factor
-and B = blockdiag_k(I_{N_t} (x) C_k^-1).  "reduced" draws the noise's pilot
-coordinates as white entries and its off-pilot energy directly as a Gamma
-variate; "full" draws the whitened post-combining noise frames and reads
-both off them.  Each chunk of frames is scored once: one signal and one
-noise draw serve every SNR point (common random numbers), so a frame's miss
-test is a quadratic in sqrt(noise_var) with per-frame coefficients computed
-once per chunk.  Where the whitened spectrum does not depend on the drop
-(the i.i.d. model, or one path through the flat design), it gives the
-p_md_asym column.  False alarm is the signal-free run of either estimator:
-a zero-width factor at unit noise variance, where a frame not missed is an
-alarm.
+and B = blockdiag_k(I_{N_t} (x) C_k^-1).  "full" draws xi and the whitened
+post-combining noise frames, and reads the noise's pilot coordinates and
+off-pilot energy off them.  "reduced" uses that the miss law depends on the
+factor only through its singular values: it draws the signal and the noise
+in the factor's singular basis, one white entry of each per singular value,
+plus the pilot noise energy outside the factor's range and the off-pilot
+energy as Gamma variates.  Each chunk of frames is scored once: one signal
+and one noise draw serve every SNR point (common random numbers), so a
+frame's miss test is a quadratic in sqrt(noise_var) with per-frame
+coefficients computed once per chunk.  Where the whitened spectrum does not
+depend on the drop (the i.i.d. model, or one path through the flat design),
+it gives the p_md_asym column.  False alarm is the signal-free run of
+either estimator: a zero-width factor at unit noise variance, where a frame
+not missed is an alarm.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -158,10 +161,18 @@ def _merge_counts(results, n_points: int) -> tuple[np.ndarray, int]:
 
 def _count_misses(counts: np.ndarray, c0, c1, c2, noise_vars) -> None:
     """Adds to counts[i] the frames whose miss quadratic c0 + s * (c1 + s * c2)
-    in s = sqrt(noise_vars[i]) is <= 0, the detector's T <= gamma."""
+    in s = sqrt(noise_vars[i]) is <= 0, the detector's T <= gamma.  c0 and c1
+    may be the scalar 0.0 of a signal-free run; one scratch buffer and one
+    mask serve every point."""
+    out = np.empty_like(c2)
+    mask = np.empty(c2.shape, dtype=bool)
     for i, nv in enumerate(noise_vars):
         s = math.sqrt(nv)
-        counts[i] += int(np.count_nonzero(c0 + s * (c1 + s * c2) <= 0.0))
+        np.multiply(c2, s, out=out)
+        out += c1
+        out *= s
+        out += c0
+        counts[i] += int(np.count_nonzero(np.less_equal(out, 0.0, out=mask)))
 
 
 def _row(config, snr_db: float, gamma: float, hits: int, trials: int, asym) -> ResultRow:
@@ -214,7 +225,8 @@ class _Plan:
     """One run of either estimator.  cinv is _combiner_whitener's output and
     fixed_factor the run's whitened signal factor (the i.i.d. model's, or a
     (q, 0) factor for noise-only frames); when it is None every drop
-    factors its own path angles."""
+    factors its own path angles.  fixed_sigma, the fixed factor's singular
+    values, is computed once when the plan is built."""
 
     config: ExperimentConfig
     gamma: float
@@ -223,6 +235,12 @@ class _Plan:
     sqrt_psi: np.ndarray
     cinv: np.ndarray | None
     fixed_factor: np.ndarray | None
+    fixed_sigma: np.ndarray | None = field(init=False)
+
+    def __post_init__(self):
+        sigma = (None if self.fixed_factor is None
+                 else np.linalg.svd(self.fixed_factor, compute_uv=False))
+        object.__setattr__(self, "fixed_sigma", sigma)
 
 
 def _plan(config: ExperimentConfig, gamma: float, noise_vars,
@@ -245,8 +263,8 @@ def _prediction_spectrum(plan: _Plan) -> np.ndarray | None:
     at angle 0 (every angle gives the same spectrum).  That single-path
     spectrum has the rank of psi, and its analysis needs it full (rank K)."""
     cfg = plan.config
-    if plan.fixed_factor is not None:
-        return np.linalg.svd(plan.fixed_factor, compute_uv=False) ** 2
+    if plan.fixed_sigma is not None:
+        return plan.fixed_sigma ** 2
     if cfg.channel.p != 1 or cfg.approach != "omni-golay":
         return None
     factor = _whiten(plan.cinv, path_factor(plan.codebook, PathSet(np.zeros(1), np.zeros(1)),
@@ -279,13 +297,6 @@ def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("qc,qc->c", a.real, b.real) + np.einsum("qc,qc->c", a.imag, b.imag)
 
 
-def _reduced_noise(q: int, d_dim: int, rng: np.random.Generator, c: int):
-    """c frames of the reduced form: white pilot coordinates z (q x c) and
-    the off-pilot energy y1 drawn directly as Gamma(d_dim)."""
-    z = _complex_normal(rng, (q, c))
-    return z, rng.gamma(d_dim, 1.0, size=c)
-
-
 def _full_noise(pilot: np.ndarray, shape: tuple[int, int, int], rng: np.random.Generator,
                 c: int):
     """c whitened frames w ~ CN(0, I) of shape (K, N_r, L): their pilot
@@ -301,41 +312,79 @@ def _full_noise(pilot: np.ndarray, shape: tuple[int, int, int], rng: np.random.G
     return z, np.einsum("ci,ci->c", energy, energy) - _re_inner(z, z)
 
 
+def _reduced_terms(sigma: np.ndarray, q: int, d_dim: int, t_ratio: float,
+                   rng: np.random.Generator, c: int):
+    """Miss coefficients of c reduced frames, drawn in the singular basis of
+    the drop's signal factor A = sqrt(L / N_t) B S = U diag(sigma) V^H.
+
+    xi and z are white, so V^H xi (eta) and U^H z are white in the r =
+    sigma.size coordinates of A's range, and the pilot noise energy outside
+    it is Gamma(q - r).  Drawn in that order: eta and z (r x c each), that
+    energy (skipped when r = q) and the off-pilot energy y1 ~ Gamma(d_dim).
+    The coefficients are c0 = |sigma eta|^2, c1 = 2 Re((sigma eta)^H z) and
+    c2 = |z|^2 + Gamma(q - r) - t y1; r = 0 leaves c0 = c1 = 0.
+    """
+    r = sigma.size
+    c0 = c1 = energy = 0.0
+    if r:
+        g = _complex_normal(rng, (r, c))
+        g *= sigma[:, None]
+        z = _complex_normal(rng, (r, c))
+        c0, c1, energy = _re_inner(g, g), 2.0 * _re_inner(g, z), _re_inner(z, z)
+    if r < q:
+        energy += rng.gamma(q - r, 1.0, size=c)
+    return c0, c1, energy - t_ratio * rng.gamma(d_dim, 1.0, size=c)
+
+
+def _full_terms(amp_factor: np.ndarray, pilot: np.ndarray, shape: tuple[int, int, int],
+                t_ratio: float, rng: np.random.Generator, c: int):
+    """Miss coefficients of c full frames: the signal's pilot coordinates
+    g = amp_factor xi, then _full_noise's z and y1; c0 = |g|^2,
+    c1 = 2 Re(g^H z) and c2 = |z|^2 - t y1.  A zero-width factor skips the
+    signal draw and terms."""
+    width = amp_factor.shape[1]
+    xi = _complex_normal(rng, (width, c)) if width else None
+    z, y1 = _full_noise(pilot, shape, rng, c)
+    c2 = _re_inner(z, z) - t_ratio * y1
+    if not width:
+        return 0.0, 0.0, c2
+    g = amp_factor @ xi
+    return _re_inner(g, g), 2.0 * _re_inner(g, z), c2
+
+
 def _drop(estimator: str, plan: _Plan, drop_index: int):
     """Misses (T <= gamma) per noise variance in one drop of either estimator.
 
-    Each chunk draws the whitened signal's pilot coordinates
-    g = sqrt(L / N_t) B S xi, then the estimator's noise: its white pilot
-    coordinates z and off-pilot energy y1.  T <= gamma is
-    |g + s z|^2 <= t s^2 y1 (t = gamma / (1 - gamma)), a quadratic in
-    s = sqrt(noise_var) whose coefficients serve every noise variance.  A
-    zero-width factor skips the signal draw and terms.
+    T <= gamma is |g + s z|^2 <= t s^2 y1 (t = gamma / (1 - gamma)) in the
+    whitened pilot coordinates: the signal's g = sqrt(L / N_t) B S xi and
+    the noise's white z and off-pilot energy y1.  That is a quadratic in
+    s = sqrt(noise_var) whose per-frame coefficients each chunk draws once
+    for every noise variance.  The full route draws all of g, z and y1
+    (_full_terms); the reduced route reads only the spectrum of the drop's
+    factor (_reduced_terms).
     """
     cfg = plan.config
     rng = np.random.default_rng(derive_seed(cfg.master_seed, drop_index))
-    amp_factor = math.sqrt(cfg.l / cfg.n_t) * _drop_factor(plan, rng)
-    width = amp_factor.shape[1]
+    amp = math.sqrt(cfg.l / cfg.n_t)
+    t_ratio = plan.gamma / (1.0 - plan.gamma)
     if estimator == "reduced":
         q = cfg.k * cfg.n_r * cfg.n_t
+        sigma = (plan.fixed_sigma if plan.fixed_sigma is not None
+                 else np.linalg.svd(_drop_factor(plan, rng), compute_uv=False))
         chunk = _reduced_chunk(q)
-        noise = partial(_reduced_noise, q, cfg.k * cfg.n_r * (cfg.l - cfg.n_t))
+        terms = partial(_reduced_terms, amp * sigma, q, cfg.k * cfg.n_r * (cfg.l - cfg.n_t),
+                        t_ratio)
     else:
         chunk = _full_chunk(cfg.k, cfg.m_r, cfg.l)
         pilot = make_sync_signal(cfg.n_t, cfg.l).conj().T * math.sqrt(cfg.n_t / cfg.l)
-        noise = partial(_full_noise, pilot, (cfg.k, cfg.n_r, cfg.l))
-    t_ratio = plan.gamma / (1.0 - plan.gamma)
+        terms = partial(_full_terms, amp * _drop_factor(plan, rng), pilot,
+                        (cfg.k, cfg.n_r, cfg.l), t_ratio)
     counts = np.zeros(len(plan.noise_vars), dtype=np.int64)
     remaining = cfg.frames_per_drop
     while remaining > 0:
         c = min(chunk, remaining)
         remaining -= c
-        xi = _complex_normal(rng, (width, c)) if width else None
-        z, y1 = noise(rng, c)
-        c0 = c1 = 0.0
-        if width:
-            g = amp_factor @ xi
-            c0, c1 = _re_inner(g, g), 2.0 * _re_inner(g, z)
-        _count_misses(counts, c0, c1, _re_inner(z, z) - t_ratio * y1, plan.noise_vars)
+        _count_misses(counts, *terms(rng, c), plan.noise_vars)
     return counts, cfg.frames_per_drop
 
 
@@ -361,12 +410,14 @@ def _run_md(estimator: str, config: ExperimentConfig, workers: int) -> list[Resu
 def run_md_reduced(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Missed-detection sweep through the reduced ratio form.
 
-    Per frame the off-pilot noise energy is drawn directly as a
-    Gamma(K*N_r*(L-N_t)) variate and the pilot-row noise as K*N_r*N_t white
-    entries; the signal g is the full estimator's draw through the drop's
-    whitened factor.  Geometric drops use the explicit factor
-    analysis.path_factor of their angles; the i.i.d. model's fixed
-    covariance is factored once per run.
+    The miss event depends on the drop's whitened signal factor only through
+    its r singular values, so each frame draws r white signal entries scaled
+    by them, r white pilot noise entries, the pilot noise energy outside the
+    factor's range as a Gamma(K*N_r*N_t - r) variate and the off-pilot noise
+    energy as a Gamma(K*N_r*(L-N_t)) variate.  Geometric drops take the
+    singular values of analysis.path_factor of their angles; the i.i.d.
+    model's fixed factor is decomposed once per run.  These are draws of
+    the full estimator's law, not of its random numbers.
     """
     return _run_md("reduced", config, workers)
 
@@ -374,11 +425,12 @@ def run_md_reduced(config: ExperimentConfig, workers: int = 1) -> list[ResultRow
 def run_md_full(config: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Missed-detection sweep through post-combining frame synthesis.
 
-    Each frame draws its combiner-whitened noise C_k^-1 F_k^H Z_k as white
-    N_r x L blocks per slot and reads the detector's numerator and
-    denominator off it: the energy on the pilot rows and off them.  The
-    signal is the reduced estimator's draw, so the two routes differ only in
-    how the noise reaches those two energies.
+    Each frame draws the signal through the drop's whitened factor, then its
+    combiner-whitened noise C_k^-1 F_k^H Z_k as white N_r x L blocks per
+    slot, and reads the detector's numerator and denominator off it: the
+    energy on the pilot rows and off them.  It draws every coordinate the
+    reduced estimator folds into its singular values and Gamma variates, so
+    the two routes sample the same law through different random numbers.
     """
     return _run_md("full", config, workers)
 

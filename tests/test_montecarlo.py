@@ -170,11 +170,15 @@ def test_reduced_and_full_estimators_agree(k, n, l, snr, model, approach):
 @pytest.mark.parametrize("model", ["geometric", "iid"])
 def test_reduced_drop_matches_direct_count(model):
     """One drop of the reduced estimator, drawn again from its seed in the
-    same order (angles, signal variables, numerator noise, denominator
-    Gamma), counts |g + s z|^2 <= t s^2 y1 directly at every s^2.  The
-    signal is drawn through B S, the factor whitened by the block-diagonal
-    B = blockdiag_k(I_{N_t} kron C_k^-1) built here from the combiners."""
+    same order, counts |sigma eta + s z|^2 + s^2 E <= t s^2 y1 directly at
+    every s^2.  sigma holds the singular values of sqrt(L/N_t) B S, the
+    factor whitened by the block-diagonal B = blockdiag_k(I_{N_t} kron
+    C_k^-1) built here from the combiners; after the angles come eta and z
+    (one white entry per singular value), the pilot noise energy E ~
+    Gamma(q - r) outside the factor's range (none when r = q, as for the
+    full-rank i.i.d. factor) and y1 ~ Gamma(K N_r (L - N_t))."""
     k, n, l, frames = 2, 2, 8, 3000
+    q = k * n * n
     channel = ChannelConfig(m_t=8, m_r=8, p=2, beta=(0.3, 0.7), f_d=SEC6_DOPPLER_HZ,
                             t_s=SEC6_SLOT_INTERVAL_S, k=k, model=model)
     config = ExperimentConfig(
@@ -192,15 +196,46 @@ def test_reduced_drop_matches_direct_count(model):
         factor = _cov_factor(build_R_iid(cb, corr.psi))
     else:
         factor = path_factor(cb, sample_paths(channel, rng), channel.beta, corr.sqrt_factor)
-    factor = loop_whitener(cb) @ factor
-    g = math.sqrt(l / n) * factor @ _complex_normal(rng, (factor.shape[1], frames))
-    z = _complex_normal(rng, (k * n * n, frames))
+    sigma = np.linalg.svd(math.sqrt(l / n) * loop_whitener(cb) @ factor, compute_uv=False)
+    r = sigma.size
+    assert r == (q if model == "iid" else 2 * k), "both rank cases should be exercised"
+    g = sigma[:, None] * _complex_normal(rng, (r, frames))
+    z = _complex_normal(rng, (r, frames))
+    outside = rng.gamma(q - r, 1.0, size=frames) if r < q else 0.0
     y1 = rng.gamma(k * n * (l - n), 1.0, size=frames)
     t_ratio = gamma / (1.0 - gamma)
-    want = [int(np.sum(np.sum(np.abs(g + math.sqrt(nv) * z) ** 2, axis=0) <= t_ratio * nv * y1))
+    want = [int(np.sum(np.sum(np.abs(g + math.sqrt(nv) * z) ** 2, axis=0) + nv * outside
+                       <= t_ratio * nv * y1))
             for nv in noise_vars]
     assert counts.tolist() == want
     assert 0 < want[-1] < want[0] < frames, "the counts should not be trivial"
+
+
+@pytest.mark.parametrize("width", [1, 12])
+def test_reduced_drop_reads_only_the_spectrum(monkeypatch, width):
+    """The miss law depends on the drop's factor A only through its singular
+    values, and the reduced route draws nothing else: U A V, for seeded
+    random unitaries U and V, gives A's counts.  q = 4, so width 1 has
+    r < q, as at the paper-sec6 shape, and width 12 has r = q < width, as
+    in the multipath runs."""
+    config = make_config(snr=(-9.0, -3.0, 3.0), drops=3, frames_per_drop=2000, master_seed=29)
+    q = config.k * config.n_r * config.n_t
+    gamma = threshold_from_fa(config.p_fa_target, config.k, config.l, config.n_r, config.n_t)
+    noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
+    rng = np.random.default_rng(31)
+    a = _complex_normal(rng, (q, width)) / math.sqrt(width)
+    u, v = (np.linalg.qr(_complex_normal(rng, (m, m)))[0] for m in (q, width))
+
+    def counts_for(factor):
+        monkeypatch.setattr(montecarlo, "_drop_factor", lambda plan, drop_rng: factor)
+        plan = _plan(config, gamma, noise_vars, None)
+        return _merge_counts([_drop("reduced", plan, d) for d in range(config.drops)],
+                             len(noise_vars))
+
+    counts, trials = counts_for(a)
+    rotated, _ = counts_for(u @ a @ v)
+    assert rotated.tolist() == counts.tolist()
+    assert 0 < counts[-1] < counts[0] < trials, "the counts should not be trivial"
 
 
 @pytest.mark.parametrize("estimator", ["reduced", "full"])
@@ -268,8 +303,8 @@ def test_estimate_fa_full_estimator_route():
 
 
 def test_estimate_fa_reduced_estimator_route():
-    """The reduced drop with a zero-width factor: |z|^2 of q white entries
-    against t * y1, pinned to the last bit at any worker count."""
+    """The reduced drop with a zero-width factor: the pilot noise energy
+    Gamma(q) against t * y1, pinned to the last bit at any worker count."""
     config = make_config(approach="random-phase", m_t=4, m_r=4, n_t=1, n_r=1, l=8,
                          snr=(), p_fa_target=0.1, drops=10, frames_per_drop=300,
                          estimator="reduced", master_seed=3)
@@ -277,8 +312,8 @@ def test_estimate_fa_reduced_estimator_route():
     band = 3 * math.sqrt(0.1 * 0.9 / 3000)
     assert abs(row.p_md_hat - 0.1) <= band
     assert results_to_csv([row]).splitlines()[1] == (
-        "random-phase,1,nan,0.28031432699884795,0.1,0.10066666666666667,"
-        "0.005493416935717662,0.10000000000000002,3000,3")
+        "random-phase,1,nan,0.28031432699884795,0.1,0.10366666666666667,"
+        "0.005565365782794181,0.10000000000000002,3000,3")
     assert estimate_fa(config, workers=2) == row
 
 
