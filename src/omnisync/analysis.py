@@ -31,6 +31,14 @@ from .codebook import Codebook
 RANK_REL_TOL = 1e-10
 
 
+def _detector_dims(k: int, l: int, n_r: int, n_t: int) -> tuple[int, int]:
+    """(q, d) = (K*N_r*N_t, K*N_r*(L - N_t)): the detector's signal and
+    off-pilot dimensions, both positive for a well-posed detector."""
+    if min(k, n_r, n_t) < 1 or l <= n_t:
+        raise ValueError("signal dimension must be below the observation dimension")
+    return k * n_r * n_t, k * n_r * (l - n_t)
+
+
 def _numerical_rank(eigs: np.ndarray, dim: int) -> int:
     if eigs.size == 0:
         return 0
@@ -173,14 +181,11 @@ def asymptotic_md(
         raise ValueError(f"threshold must be inside (0, 1), got {gamma!r}")
     if noise_var <= 0:
         raise ValueError("noise variance must be positive")
-    q = k * n_r * n_t
+    q, d = _detector_dims(k, l, n_r, n_t)
     lams = np.sort(np.asarray(eigs, dtype=np.float64))[::-1]
     r = _numerical_rank(lams, q)
     if r == 0:
         raise ValueError("spectrum has rank 0; the asymptote is undefined")
-    d = k * n_r * (l - n_t)
-    if d < 1:
-        raise ValueError("signal dimension must be below the observation dimension")
     if r > q:
         raise ValueError(f"rank {r} exceeds the signal dimension {q}")
     log_lam_sum = float(np.sum(np.log(lams[:r])))
@@ -226,10 +231,7 @@ def md_exact(eigs, noise_var: float, gamma: float, k: int, l: int, n_r: int, n_t
         raise ValueError(f"threshold must be inside (0, 1), got {gamma!r}")
     if noise_var <= 0:
         raise ValueError("noise variance must be positive")
-    q = k * n_r * n_t
-    d = k * n_r * (l - n_t)
-    if d < 1:
-        raise ValueError("signal dimension must be below the observation dimension")
+    q, d = _detector_dims(k, l, n_r, n_t)
     lam = np.maximum(np.asarray(eigs, dtype=np.float64), 0.0)
     if lam.ndim == 0:
         raise ValueError("eigs needs the spectrum on its last axis")
@@ -303,18 +305,16 @@ def lemma1_cdf(ratio: GeneralizedFRatio, t: float) -> float:
 
 def fa_closed_form_log(gamma: float, k: int, l: int, n_r: int, n_t: int) -> float:
     """Natural log of the false-alarm probability at threshold gamma."""
-    if k * n_r * n_t >= k * l * n_r:
-        raise ValueError("signal dimension must be below the observation dimension")
+    q, d = _detector_dims(k, l, n_r, n_t)
     if gamma <= 0.0:
         return 0.0
     if gamma >= 1.0:
         return -math.inf
-    n = k * l * n_r - 1
-    a = k * n_r * n_t
+    n = q + d - 1
     log_g = math.log(gamma)
     log_1mg = math.log1p(-gamma)
     return _log_sum_exp([log_c + m * log_g + (n - m) * log_1mg
-                         for m, log_c in enumerate(_log_comb_row(n, a))])
+                         for m, log_c in enumerate(_log_comb_row(n, q))])
 
 
 def fa_closed_form(gamma: float, k: int, l: int, n_r: int, n_t: int) -> float:

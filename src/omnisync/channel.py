@@ -23,34 +23,27 @@ EIG_CLAMP_REL = 1e-10
 SEC6_DOPPLER_HZ = (30.0 / 3.6) * 30e9 / 3e8
 SEC6_SLOT_INTERVAL_S = 5e-4
 
+CHANNEL_MODELS = ("geometric", "iid")
+
 
 # ===== Configuration and result types =====
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel parameters shared by the geometric and i.i.d. models.
+    """The channel object of an experiment document, shared by the geometric
+    and i.i.d. models.
 
-    beta holds the per-path average gains and must sum to 1; the i.i.d. model
+    beta holds one average gain per path and must sum to 1; the i.i.d. model
     ignores the path structure but keeps the temporal correlation.
     """
 
-    m_t: int
-    m_r: int
-    p: int
     beta: tuple[float, ...]
     f_d: float
     t_s: float
-    k: int
     model: str = "geometric"
 
     def __post_init__(self):
-        if self.m_t < 1 or self.m_r < 1 or self.k < 1:
-            raise ValueError("antenna and slot counts must be positive")
-        if self.p < 1:
-            raise ValueError("need at least one path")
-        if len(self.beta) != self.p:
-            raise ValueError(f"beta needs {self.p} entries, got {len(self.beta)}")
         if not all(0 <= b < math.inf for b in self.beta):
             raise ValueError(f"path gains must be finite and nonnegative, got {self.beta!r}")
         if abs(sum(self.beta) - 1.0) > 1e-12:
@@ -58,8 +51,12 @@ class ChannelConfig:
         if not (0 <= self.f_d < math.inf and 0 < self.t_s < math.inf):
             raise ValueError("Doppler must be finite and nonnegative and the slot interval "
                              f"finite and positive, got f_d={self.f_d!r}, t_s={self.t_s!r}")
-        if self.model not in ("geometric", "iid"):
+        if self.model not in CHANNEL_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}")
+
+    @property
+    def p(self) -> int:
+        return len(self.beta)
 
 
 def uniform_gains(p: int) -> tuple[float, ...]:
@@ -118,17 +115,19 @@ def bessel_j0(x: float) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * (p_fac * math.cos(chi) - q_fac * math.sin(chi))
 
 
-def correlation_matrix(config: ChannelConfig) -> TemporalCorrelation:
-    """Clarke slot-correlation matrix and its symmetric square-root factor.
+def correlation_matrix(channel: ChannelConfig, k: int) -> TemporalCorrelation:
+    """Clarke correlation matrix of K slots and its symmetric square-root factor.
 
-    psi[k, l] = J0(2*pi*f_d*T_s*|k - l|).  Eigenvalues below
+    psi[i, j] = J0(2*pi*f_d*T_s*|i - j|).  Eigenvalues below
     EIG_CLAMP_REL times the largest are clamped to zero before taking the
     square root, so the factor is exact for rank-deficient correlations
     (e.g. f_d = 0, where psi is all ones).
     """
-    lags = np.array([bessel_j0(2.0 * math.pi * config.f_d * config.t_s * d)
-                     for d in range(config.k)])
-    idx = np.arange(config.k)
+    if k < 1:
+        raise ValueError(f"need at least one slot, got k={k}")
+    lags = np.array([bessel_j0(2.0 * math.pi * channel.f_d * channel.t_s * d)
+                     for d in range(k)])
+    idx = np.arange(k)
     psi = lags[np.abs(idx[:, None] - idx[None, :])]
     eigval, eigvec = np.linalg.eigh(psi)
     clamp = EIG_CLAMP_REL * max(float(eigval[-1]), 0.0)

@@ -23,7 +23,13 @@ from .analysis import (
     fa_closed_form_log,
     lemma1_cdf,
 )
-from .channel import SEC6_DOPPLER_HZ, SEC6_SLOT_INTERVAL_S, ChannelConfig, uniform_gains
+from .channel import (
+    CHANNEL_MODELS,
+    SEC6_DOPPLER_HZ,
+    SEC6_SLOT_INTERVAL_S,
+    ChannelConfig,
+    uniform_gains,
+)
 from .codebook import (
     EXPORT_GRID,
     NAMED_DESIGNS,
@@ -141,7 +147,8 @@ def experiment_config_from_doc(doc: dict) -> ExperimentConfig:
         errors.append(f"$.p_fa_target: must be inside (0, 1), got {doc.get('p_fa_target')!r}")
     estimator = doc.get("estimator", "reduced")
     if estimator not in ESTIMATORS:
-        errors.append(f"$.estimator: expected 'reduced' or 'full', got {estimator!r}")
+        errors.append(f"$.estimator: expected {' or '.join(map(repr, ESTIMATORS))}, "
+                      f"got {estimator!r}")
         estimator = "reduced"
     snr = doc.get("snr_db")
     if not isinstance(snr, list) or not all(_is_finite_number(s) for s in snr):
@@ -156,8 +163,9 @@ def experiment_config_from_doc(doc: dict) -> ExperimentConfig:
         for key in sorted(set(chan_doc) - _CHANNEL_KEYS):
             errors.append(f"$.channel.{key}: unknown field")
         model = chan_doc.get("model")
-        if model not in ("geometric", "iid"):
-            errors.append(f"$.channel.model: expected 'geometric' or 'iid', got {model!r}")
+        if model not in CHANNEL_MODELS:
+            errors.append(f"$.channel.model: expected {' or '.join(map(repr, CHANNEL_MODELS))}, "
+                          f"got {model!r}")
             model = "geometric"
         paths = chan_doc.get("paths", 1)
         if not isinstance(paths, int) or isinstance(paths, bool) or paths < 1:
@@ -175,8 +183,8 @@ def experiment_config_from_doc(doc: dict) -> ExperimentConfig:
         slot_interval = _check_number(chan_doc, "slot_interval_s", errors, path="$.channel")
         if not errors:
             try:
-                channel = ChannelConfig(m_t=mt, m_r=mr, p=paths, beta=tuple(float(b) for b in beta),
-                                        f_d=doppler, t_s=slot_interval, k=k, model=model)
+                channel = ChannelConfig(beta=tuple(float(b) for b in beta), f_d=doppler,
+                                        t_s=slot_interval, model=model)
             except ValueError as exc:
                 errors.append(f"$.channel: {exc}")
     if errors:

@@ -68,8 +68,6 @@ def threshold_from_fa(p_fa_target: float, k: int, l: int, n_r: int, n_t: int) ->
     """
     if not 0.0 < p_fa_target < 1.0:
         raise ValueError("false-alarm target must be inside (0, 1)")
-    if k * n_r * n_t >= k * l * n_r:
-        raise ValueError("signal dimension must be below the observation dimension")
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

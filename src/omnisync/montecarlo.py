@@ -99,18 +99,16 @@ class ExperimentConfig:
         if self.approach not in NAMED_DESIGNS:
             raise ValueError(f"unknown approach {self.approach!r}")
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be 'reduced' or 'full', got {self.estimator!r}")
+            raise ValueError(f"estimator must be {' or '.join(map(repr, ESTIMATORS))}, "
+                             f"got {self.estimator!r}")
+        if min(self.k, self.m_t, self.m_r, self.n_r) < 1:
+            raise ValueError("slot, antenna and stream counts must be positive")
         if self.drops < 1 or self.frames_per_drop < 1:
             raise ValueError("drops and frames_per_drop must be at least 1")
         if not 0.0 < self.p_fa_target < 1.0:
             raise ValueError("false-alarm target must be inside (0, 1)")
         if not 1 <= self.n_t < self.l:
             raise ValueError("need 1 <= n_t < l for a well-posed detector")
-        for mine, theirs, name in ((self.m_t, self.channel.m_t, "m_t"),
-                                   (self.m_r, self.channel.m_r, "m_r"),
-                                   (self.k, self.channel.k, "k")):
-            if mine != theirs:
-                raise ValueError(f"experiment {name}={mine} disagrees with channel {name}={theirs}")
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,7 @@ def _plan(config: ExperimentConfig, gamma: float, noise_vars,
     None means the whitened eigen-factor of build_R_iid for the i.i.d.
     model, else per-drop factors."""
     codebook = experiment_codebook(config)
-    corr = correlation_matrix(config.channel)
+    corr = correlation_matrix(config.channel, config.k)
     cinv = _combiner_whitener(codebook)
     if fixed_factor is None and config.channel.model == "iid":
         fixed_factor = _whiten(cinv, _cov_factor(build_R_iid(codebook, corr.psi)))

@@ -42,9 +42,9 @@ from omnisync.montecarlo import (
 )
 
 
-def sec6_channel(k, m_t, m_r, p=1, model="geometric"):
-    return ChannelConfig(m_t=m_t, m_r=m_r, p=p, beta=(1.0 / p,) * p,
-                         f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S, k=k, model=model)
+def sec6_channel(p=1, model="geometric"):
+    return ChannelConfig(beta=(1.0 / p,) * p, f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S,
+                         model=model)
 
 
 def acf_int(seq):
@@ -82,7 +82,7 @@ def angle_averaged_md(config, grid_t, grid_r):
     of the pooled estimate over D drops of F frames that share their angles.
     """
     cb = experiment_codebook(config)
-    psi = correlation_matrix(config.channel).psi
+    psi = correlation_matrix(config.channel, config.k).psi
     tx = side_patterns(cb.w, grid_t)
     rx = side_patterns(cb.f, grid_r)
     root = np.sqrt(tx.T[:, None, :] * rx.T[None, :, :])
@@ -190,7 +190,7 @@ def test_criterion_04_false_alarm_calibration():
     start = time.perf_counter()
     config = ExperimentConfig(
         approach="omni-golay", k=1, m_t=64, m_r=16, n_t=2, n_r=2, l=64,
-        channel=sec6_channel(1, 64, 16), snr_db_list=(), p_fa_target=1e-2,
+        channel=sec6_channel(), snr_db_list=(), p_fa_target=1e-2,
         drops=1000, frames_per_drop=1000, master_seed=1)
     row = estimate_fa(config)
     band = 3 * math.sqrt(1e-2 * (1 - 1e-2) / 1_000_000)
@@ -206,7 +206,7 @@ def test_criterion_04_false_alarm_calibration():
 def test_criterion_05_full_vs_reduced_equivalence():
     start = time.perf_counter()
     kwargs = dict(approach="omni-golay", k=1, m_t=16, m_r=4, n_t=2, n_r=2, l=16,
-                  channel=sec6_channel(1, 16, 4), snr_db_list=(0.0,),
+                  channel=sec6_channel(), snr_db_list=(0.0,),
                   p_fa_target=1e-2, drops=100, frames_per_drop=1000)
     full_row = run_md_full(ExperimentConfig(estimator="full", master_seed=1, **kwargs))[0]
     reduced_row = run_md_reduced(ExperimentConfig(master_seed=2, **kwargs))[0]
@@ -227,12 +227,12 @@ def test_criterion_06_iid_low_noise_law():
     start = time.perf_counter()
     config = ExperimentConfig(
         approach="omni-golay", k=1, m_t=2, m_r=2, n_t=2, n_r=2, l=64,
-        channel=sec6_channel(1, 2, 2, model="iid"), snr_db_list=(-3.0, -1.0),
+        channel=sec6_channel(model="iid"), snr_db_list=(-3.0, -1.0),
         p_fa_target=1e-2, drops=1000, frames_per_drop=1000, master_seed=1)
     rows = run_md_reduced(config)
     # The iid covariance is fixed (R = I_4), so the exact law is one number per point.
     eigs = np.linalg.eigvalsh(
-        build_R_iid(experiment_codebook(config), correlation_matrix(config.channel).psi))
+        build_R_iid(experiment_codebook(config), correlation_matrix(config.channel, config.k).psi))
     dims = (config.k, config.l, config.n_r, config.n_t)
     gamma = config_gamma(config)
 
@@ -332,7 +332,7 @@ def test_criterion_08_design_ordering():
             for approach, (n_t, n_r) in dims.items():
                 config = ExperimentConfig(
                     approach=approach, k=1, m_t=64, m_r=16, n_t=n_t, n_r=n_r, l=64,
-                    channel=sec6_channel(1, 64, 16, p=p), snr_db_list=grid,
+                    channel=sec6_channel(p=p), snr_db_list=grid,
                     p_fa_target=1e-2, drops=100, frames_per_drop=1000, master_seed=seed)
                 md[approach] = [row.p_md_hat for row in run_md_reduced(config)]
                 if p == 1:
@@ -369,11 +369,11 @@ def test_criterion_09_time_diversity_contrast():
     start = time.perf_counter()
     sweep_config = ExperimentConfig(
         approach="dft-sweep", k=8, m_t=8, m_r=8, n_t=1, n_r=2, l=64,
-        channel=sec6_channel(8, 8, 8), snr_db_list=(-12.0, -8.0),
+        channel=sec6_channel(), snr_db_list=(-12.0, -8.0),
         p_fa_target=1e-2, drops=2500, frames_per_drop=2400, master_seed=1)
     omni_config = ExperimentConfig(
         approach="omni-golay", k=8, m_t=8, m_r=8, n_t=2, n_r=2, l=64,
-        channel=sec6_channel(8, 8, 8), snr_db_list=(-11.0, -10.0),
+        channel=sec6_channel(), snr_db_list=(-11.0, -10.0),
         p_fa_target=1e-2, drops=1000, frames_per_drop=3000, master_seed=1)
     sweep_rows = run_md_reduced(sweep_config)
     omni_rows = run_md_reduced(omni_config)

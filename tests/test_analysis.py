@@ -52,9 +52,8 @@ from oracles import loop_covariance_oracle, loop_path_vectors, loop_whitener
 
 
 def sec6_psi(k):
-    config = ChannelConfig(m_t=2, m_r=2, p=1, beta=(1.0,),
-                           f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S, k=k)
-    return correlation_matrix(config).psi
+    config = ChannelConfig(beta=(1.0,), f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S)
+    return correlation_matrix(config, k).psi
 
 
 # ===== Effective covariance builders =====
@@ -79,10 +78,9 @@ ORACLE_BETA = {1: (1.0,), 4: (0.1, 0.2, 0.3, 0.4)}
 
 def oracle_case(design, k, p, f_d=SEC6_DOPPLER_HZ):
     """Codebook, random paths, unequal gains and the slot correlation."""
-    channel = ChannelConfig(m_t=16, m_r=8, p=p, beta=ORACLE_BETA[p], f_d=f_d,
-                            t_s=SEC6_SLOT_INTERVAL_S, k=k)
+    channel = ChannelConfig(beta=ORACLE_BETA[p], f_d=f_d, t_s=SEC6_SLOT_INTERVAL_S)
     cb = build_approach_codebook(design, 16, ORACLE_DESIGNS[design], 8, 2, k, seed=k * 10 + p)
-    return cb, sample_paths(channel, 100 + k * 10 + p), channel.beta, correlation_matrix(channel)
+    return cb, sample_paths(channel, 100 + k * 10 + p), channel.beta, correlation_matrix(channel, k)
 
 
 def max_rel_err(got, want):
@@ -155,10 +153,9 @@ def test_single_path_spectrum_angle_independent_for_omni():
 
 def test_general_builder_matches_single_path():
     """path_factor of one path reproduces the single-path covariance."""
-    channel = ChannelConfig(m_t=16, m_r=8, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
-                            t_s=SEC6_SLOT_INTERVAL_S, k=2)
+    channel = ChannelConfig(beta=(1.0,), f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S)
     cb = build_approach_codebook("quasi-omni-zc", 16, 1, 8, 2, 2)
-    corr = correlation_matrix(channel)
+    corr = correlation_matrix(channel, 2)
     paths = PathSet(theta_r=np.array([0.42]), theta_t=np.array([0.17]))
     s = path_factor(cb, paths, (1.0,), corr.sqrt_factor)
     single, _, _ = build_R_single_path(cb, 0.42, 0.17, corr.psi)
@@ -179,8 +176,7 @@ def test_general_builder_superposes_paths():
 
 
 def prediction_plan(approach, k, f_d=SEC6_DOPPLER_HZ, model="geometric"):
-    channel = ChannelConfig(m_t=8, m_r=8, p=1, beta=(1.0,), f_d=f_d,
-                            t_s=SEC6_SLOT_INTERVAL_S, k=k, model=model)
+    channel = ChannelConfig(beta=(1.0,), f_d=f_d, t_s=SEC6_SLOT_INTERVAL_S, model=model)
     config = ExperimentConfig(approach=approach, k=k, m_t=8, m_r=8, n_t=2, n_r=2, l=16,
                               channel=channel, snr_db_list=(0.0,))
     return _plan(config, 0.1, (1.0,), None)
@@ -194,7 +190,7 @@ def test_prediction_covariance_is_single_path_at_zero_angle(k):
     eigs = _prediction_spectrum(plan)
     want = np.linalg.eigvalsh(loop_covariance_oracle(
         plan.codebook, PathSet(np.zeros(1), np.zeros(1)), (1.0,),
-        correlation_matrix(plan.config.channel).psi))[::-1]
+        correlation_matrix(plan.config.channel, k).psi))[::-1]
     assert eigs.shape == (k,)
     assert np.max(np.abs(eigs - want[:k])) <= 1e-12 * want[0]
     assert np.max(np.abs(want[k:])) <= 1e-12 * want[0]
@@ -220,7 +216,7 @@ def test_prediction_spectrum_of_iid_model(k):
     from I, so the unwhitened spectrum of R fails."""
     plan = prediction_plan("random-phase", k, model="iid")
     b = loop_whitener(plan.codebook)
-    r = build_R_iid(plan.codebook, correlation_matrix(plan.config.channel).psi)
+    r = build_R_iid(plan.codebook, correlation_matrix(plan.config.channel, k).psi)
     want = np.linalg.eigvalsh(b @ r @ b.conj().T)[::-1]
     eigs = _prediction_spectrum(plan)
     assert np.max(np.abs(eigs - want[:eigs.size])) <= 1e-12 * want[0]
@@ -348,15 +344,14 @@ def test_md_exact_matches_reduced_sampler():
     """A fixed factor diag(sqrt(eigs)) makes the exact law one number per
     SNR point."""
     eigs = (2.0, 0.5, 0.0, 0.0)
-    channel = ChannelConfig(m_t=8, m_r=8, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
-                            t_s=SEC6_SLOT_INTERVAL_S, k=1)
+    channel = ChannelConfig(beta=(1.0,), f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S)
     config = ExperimentConfig(
         approach="omni-golay", k=1, m_t=8, m_r=8, n_t=2, n_r=2, l=16, channel=channel,
         snr_db_list=(-6.0, 0.0), drops=20, frames_per_drop=2000, master_seed=5)
     gamma = threshold_from_fa(config.p_fa_target, 1, 16, 2, 2)
     noise_vars = tuple(10.0 ** (-s / 10.0) for s in config.snr_db_list)
     plan = _Plan(config, gamma, noise_vars, experiment_codebook(config),
-                 correlation_matrix(channel).sqrt_factor, None, np.diag(np.sqrt(eigs)))
+                 correlation_matrix(channel, 1).sqrt_factor, None, np.diag(np.sqrt(eigs)))
     counts, trials = _merge_counts([_drop("reduced", plan, d) for d in range(config.drops)],
                                    len(noise_vars))
     for snr, nv, cnt in zip(config.snr_db_list, noise_vars, counts):
@@ -370,14 +365,14 @@ def test_md_exact_of_whitened_spectrum_matches_reduced_sampler():
     """Random-phase combiners with N_r = 2 have Grams far from I, so the
     detector's law is md_exact on the spectrum of R_w = B R B^H, not of R
     (which reads about 0.080 against 0.068 here)."""
-    channel = ChannelConfig(m_t=8, m_r=4, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
-                            t_s=SEC6_SLOT_INTERVAL_S, k=2, model="iid")
+    channel = ChannelConfig(beta=(1.0,), f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S,
+                            model="iid")
     config = ExperimentConfig(
         approach="random-phase", k=2, m_t=8, m_r=4, n_t=2, n_r=2, l=8, channel=channel,
         snr_db_list=(0.0,), drops=20, frames_per_drop=2000, master_seed=3)
     cb = experiment_codebook(config)
     b = loop_whitener(cb)
-    r = build_R_iid(cb, correlation_matrix(channel).psi)
+    r = build_R_iid(cb, correlation_matrix(channel, 2).psi)
     (row,) = run_md_reduced(config)
     law = md_exact(np.linalg.eigvalsh(b @ r @ b.conj().T)[::-1], 1.0, row.gamma, 2, 8, 2, 2)
     sigma = math.sqrt(law * (1.0 - law) / row.trials)
@@ -388,13 +383,13 @@ def test_md_exact_of_whitened_spectrum_matches_reduced_sampler():
 def test_md_exact_matches_multipath_sampler():
     """Given each drop's angles the exact law is known per drop, so the pooled
     four-path sample is held to the mean of the per-drop laws."""
-    channel = ChannelConfig(m_t=16, m_r=8, p=4, beta=(0.1, 0.2, 0.3, 0.4),
-                            f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S, k=4)
+    channel = ChannelConfig(beta=(0.1, 0.2, 0.3, 0.4), f_d=SEC6_DOPPLER_HZ,
+                            t_s=SEC6_SLOT_INTERVAL_S)
     config = ExperimentConfig(
         approach="quasi-omni-zc", k=4, m_t=16, m_r=8, n_t=1, n_r=2, l=16, channel=channel,
         snr_db_list=(-10.0, -4.0), drops=40, frames_per_drop=500, master_seed=6)
     cb = build_approach_codebook("quasi-omni-zc", 16, 1, 8, 2, 4)
-    psi = correlation_matrix(channel).psi
+    psi = correlation_matrix(channel, 4).psi
     eigs = np.array([np.linalg.eigvalsh(loop_covariance_oracle(
         cb, sample_paths(channel, derive_seed(6, d)), channel.beta, psi))
         for d in range(config.drops)])
@@ -484,6 +479,19 @@ def test_fa_closed_form_matches_binomial_oracle(k, l, n_r, n_t, gamma):
 @pytest.mark.parametrize("n,a", [(16383, 256), (127, 4)])
 def test_log_comb_row_is_exact(n, a):
     assert list(_log_comb_row(n, a)) == [_log_comb(n, m) for m in range(a)]
+
+
+@pytest.mark.parametrize("dims", [(1, 8, 2, 0), (0, 8, 2, 1), (1, 8, 0, 1), (1, 2, 1, 2)])
+def test_degenerate_detector_shapes_raise_one_error(dims):
+    """K, N_r or N_t below 1, or L <= N_t: every law of the detector's shape
+    (K, L, N_r, N_t) rejects it with the same error.  At N_t = 0 the false
+    alarm once summed an empty list and md_exact divided by zero."""
+    for law in (lambda: fa_closed_form_log(0.1, *dims),
+                lambda: md_exact((), 1.0, 0.1, *dims),
+                lambda: asymptotic_md((1.0,), 0.1, 1.0, *dims),
+                lambda: threshold_from_fa(1e-2, *dims)):
+        with pytest.raises(ValueError, match="signal dimension must be below"):
+            law()
 
 
 def test_fa_closed_form_monotone_and_edged():

@@ -29,10 +29,8 @@ from omnisync.montecarlo import _cov_factor
 from oracles import loop_covariance_oracle
 
 
-def sec6_config(k, m_t=4, m_r=4, p=1, beta=None, model="geometric"):
-    return ChannelConfig(m_t=m_t, m_r=m_r, p=p,
-                         beta=beta if beta is not None else uniform_gains(p),
-                         f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S, k=k, model=model)
+def sec6_config(beta=(1.0,), model="geometric"):
+    return ChannelConfig(beta=beta, f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S, model=model)
 
 
 def j0_integral(x, panels=4096):
@@ -78,7 +76,7 @@ def test_bessel_j0_even_in_x():
 
 
 def test_correlation_matrix_frozen_values():
-    corr = correlation_matrix(sec6_config(3))
+    corr = correlation_matrix(sec6_config(), 3)
     psi = corr.psi
     assert psi.shape == (3, 3)
     assert np.allclose(np.diag(psi), 1.0, atol=1e-15)
@@ -89,8 +87,8 @@ def test_correlation_matrix_frozen_values():
 
 
 def test_correlation_matrix_is_toeplitz_in_j0():
-    config = ChannelConfig(m_t=2, m_r=2, p=1, beta=(1.0,), f_d=300.0, t_s=1e-3, k=6)
-    psi = correlation_matrix(config).psi
+    config = ChannelConfig(beta=(1.0,), f_d=300.0, t_s=1e-3)
+    psi = correlation_matrix(config, 6).psi
     for i in range(6):
         for j in range(6):
             want = bessel_j0(2.0 * math.pi * 300.0 * 1e-3 * abs(i - j))
@@ -98,14 +96,14 @@ def test_correlation_matrix_is_toeplitz_in_j0():
 
 
 def test_correlation_factor_reproduces_matrix():
-    config = ChannelConfig(m_t=2, m_r=2, p=1, beta=(1.0,), f_d=300.0, t_s=1e-3, k=8)
-    corr = correlation_matrix(config)
+    config = ChannelConfig(beta=(1.0,), f_d=300.0, t_s=1e-3)
+    corr = correlation_matrix(config, 8)
     assert np.max(np.abs(corr.sqrt_factor @ corr.sqrt_factor.T - corr.psi)) <= 1e-12
 
 
 def test_zero_doppler_collapses_to_rank_one():
-    config = ChannelConfig(m_t=2, m_r=2, p=1, beta=(1.0,), f_d=0.0, t_s=1e-3, k=5)
-    corr = correlation_matrix(config)
+    config = ChannelConfig(beta=(1.0,), f_d=0.0, t_s=1e-3)
+    corr = correlation_matrix(config, 5)
     assert np.allclose(corr.psi, 1.0, atol=1e-15)
     live_columns = int(np.sum(np.any(np.abs(corr.sqrt_factor) > 1e-12, axis=0)))
     assert live_columns == 1, f"all-ones correlation should factor through rank 1, got {live_columns}"
@@ -116,8 +114,8 @@ def test_zero_doppler_collapses_to_rank_one():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(p=0, beta=()),
-    dict(beta=(0.5, 0.5)),          # count disagrees with p=1
+    dict(beta=()),                  # no path
+    dict(beta=(1.5, -0.5)),         # sums to 1 through a negative gain
     dict(beta=(0.7,)),              # does not sum to 1
     dict(beta=(-1.0,)),
     dict(model="rayleigh-ish"),
@@ -128,7 +126,7 @@ def test_zero_doppler_collapses_to_rank_one():
     dict(t_s=math.inf),
 ])
 def test_channel_config_rejects_bad_values(kwargs):
-    base = dict(m_t=4, m_r=4, p=1, beta=(1.0,), f_d=100.0, t_s=1e-3, k=2)
+    base = dict(beta=(1.0,), f_d=100.0, t_s=1e-3)
     base.update(kwargs)
     with pytest.raises(ValueError):
         ChannelConfig(**base)
@@ -136,16 +134,25 @@ def test_channel_config_rejects_bad_values(kwargs):
 
 def test_channel_config_rejects_bad_timing():
     with pytest.raises(ValueError):
-        ChannelConfig(m_t=4, m_r=4, p=1, beta=(1.0,), f_d=-1.0, t_s=1e-3, k=2)
+        ChannelConfig(beta=(1.0,), f_d=-1.0, t_s=1e-3)
     with pytest.raises(ValueError):
-        ChannelConfig(m_t=4, m_r=4, p=1, beta=(1.0,), f_d=100.0, t_s=0.0, k=2)
+        ChannelConfig(beta=(1.0,), f_d=100.0, t_s=0.0)
+
+
+def test_path_count_is_the_gain_count():
+    assert ChannelConfig(beta=(0.25,) * 4, f_d=100.0, t_s=1e-3).p == 4
+
+
+def test_correlation_matrix_rejects_zero_slots():
+    with pytest.raises(ValueError):
+        correlation_matrix(sec6_config(), 0)
 
 
 def test_uniform_gains_sum_to_one():
     assert uniform_gains(4) == (0.25, 0.25, 0.25, 0.25)
     gains = uniform_gains(3)
     assert abs(sum(gains) - 1.0) <= 1e-12
-    sec6_config(2, p=3, beta=gains)  # must satisfy the config validator
+    sec6_config(gains)  # must satisfy the config validator
 
 
 # ===== Steering and path sampling =====
@@ -158,7 +165,7 @@ def test_steering_hand_values():
 
 
 def test_sample_paths_deterministic_and_ordered():
-    config = sec6_config(2, p=2, beta=(0.5, 0.5))
+    config = sec6_config((0.5, 0.5))
     paths_a = sample_paths(config, 9)
     paths_b = sample_paths(config, 9)
     assert np.array_equal(paths_a.theta_r, paths_b.theta_r)
@@ -203,10 +210,10 @@ def test_realize_channel_is_rank_one_per_slot():
     """One path: every drawn G_k is the path gain times the rank-one
     (F_k^H u)(W_k^H v)^H of that path's steering vectors.  N_t != N_r, so a
     factor row order other than vec(G_k) column by column fails."""
-    config = sec6_config(2)
+    config = sec6_config()
     cb = build_approach_codebook("random-phase", 4, 3, 4, 2, 2, seed=3)
     paths = sample_paths(config, 3)
-    corr = correlation_matrix(config)
+    corr = correlation_matrix(config, 2)
     geff = draw_effective_channels(11, path_factor(cb, paths, config.beta, corr.sqrt_factor),
                                    cb, 5)
     assert geff.shape == (5, 2, 2, 3)
@@ -221,10 +228,10 @@ def test_realize_channel_is_rank_one_per_slot():
 def test_realize_channel_gain_moments():
     """Sample moments of the per-path gains, recovered from the drawn G_k,
     match beta and the slot correlation."""
-    config = sec6_config(2, p=2, beta=(0.75, 0.25))
+    config = sec6_config((0.75, 0.25))
     cb = build_approach_codebook("random-phase", 4, 2, 4, 2, 2, seed=5)
     paths = sample_paths(config, 5)
-    corr = correlation_matrix(config)
+    corr = correlation_matrix(config, 2)
     geff = draw_effective_channels(17, path_factor(cb, paths, config.beta, corr.sqrt_factor),
                                    cb, 3000)
     draws = np.empty((3000, 2, 2), dtype=np.complex128)
@@ -259,10 +266,10 @@ def assert_matches_covariance(geff, r):
 def test_geometric_effective_channel_covariance():
     """Two fixed paths with unequal gains: the drawn G_k follow the
     covariance of the slot-by-slot loop oracle."""
-    config = sec6_config(3, m_t=8, m_r=8, p=2, beta=(0.3, 0.7))
+    config = sec6_config((0.3, 0.7))
     cb = build_approach_codebook("random-phase", 8, 2, 8, 2, 3, seed=4)
     paths = PathSet(theta_r=np.array([0.12, 0.57]), theta_t=np.array([0.33, 0.81]))
-    corr = correlation_matrix(config)
+    corr = correlation_matrix(config, 3)
     geff = draw_effective_channels(47, path_factor(cb, paths, config.beta, corr.sqrt_factor),
                                    cb, 20000)
     assert geff.shape == (20000, 3, 2, 2)
@@ -270,9 +277,9 @@ def test_geometric_effective_channel_covariance():
 
 
 def test_iid_effective_channel_covariance():
-    config = sec6_config(2, m_t=4, m_r=4, model="iid")
+    config = sec6_config(model="iid")
     cb = build_approach_codebook("random-phase", 4, 2, 4, 2, 2, seed=6)
-    r = build_R_iid(cb, correlation_matrix(config).psi)
+    r = build_R_iid(cb, correlation_matrix(config, 2).psi)
     geff = draw_effective_channels(53, _cov_factor(r), cb, 20000)
     assert geff.shape == (20000, 2, 2, 2)
     assert_matches_covariance(geff, r)

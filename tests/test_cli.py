@@ -11,8 +11,10 @@ import pytest
 
 import omnisync
 from omnisync.analysis import fa_closed_form
-from omnisync.cli import main
+from omnisync.channel import ChannelConfig
+from omnisync.cli import experiment_config_from_doc, main
 from omnisync.detector import threshold_from_fa
+from omnisync.montecarlo import ExperimentConfig
 
 
 def run_cli(*argv):
@@ -161,6 +163,13 @@ def test_threshold_rejects_degenerate_geometry(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_threshold_rejects_zero_pilot_streams(capsys):
+    assert run_cli("threshold", "--pfa", "1e-2", "--k", "1", "--l", "8",
+                   "--nr", "2", "--nt", "0") == 1
+    assert ("error: signal dimension must be below the observation dimension"
+            in capsys.readouterr().err)
+
+
 # ===== analytic =====
 
 
@@ -250,6 +259,22 @@ def test_analytic_md_asym_rejects_negative_eigenvalue(tmp_path, capsys):
 
 
 # ===== simulate =====
+
+
+def test_experiment_config_from_doc_maps_every_field():
+    """Distinct values in every field, so a swapped or dropped mapping shows."""
+    doc = {"schema": 1, "approach": "random-phase", "k": 3, "mt": 8, "nt": 1, "mr": 4,
+           "nr": 2, "l": 16,
+           "channel": {"model": "iid", "paths": 2, "beta": [0.25, 0.75],
+                       "doppler_hz": 100.0, "slot_interval_s": 0.001},
+           "snr_db": [-4, 2.5], "p_fa_target": 0.05, "drops": 7, "frames_per_drop": 11,
+           "estimator": "full", "master_seed": 9, "zc_root": 2}
+    want = ExperimentConfig(
+        approach="random-phase", k=3, m_t=8, m_r=4, n_t=1, n_r=2, l=16,
+        channel=ChannelConfig(beta=(0.25, 0.75), f_d=100.0, t_s=0.001, model="iid"),
+        snr_db_list=(-4.0, 2.5), p_fa_target=0.05, drops=7, frames_per_drop=11,
+        estimator="full", master_seed=9, zc_root=2)
+    assert experiment_config_from_doc(doc) == want
 
 
 def test_simulate_writes_rows_and_manifest(tmp_path):

@@ -302,8 +302,7 @@ def test_full_drop_matches_per_frame_oracle(model):
     pinv(F_k^H) G_k pinv(W_k) reproduces them."""
     k, m_t, m_r, n, l, frames = 2, 8, 4, 2, 8, 60
     geometric = model == "geometric"
-    channel = ChannelConfig(m_t=m_t, m_r=m_r, p=2, beta=(0.3, 0.7), f_d=SEC6_DOPPLER_HZ,
-                            t_s=SEC6_SLOT_INTERVAL_S, k=k,
+    channel = ChannelConfig(beta=(0.3, 0.7), f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S,
                             model="iid" if model == "iid" else "geometric")
     config = ExperimentConfig(
         approach="random-phase", k=k, m_t=m_t, m_r=m_r, n_t=n, n_r=n, l=l, channel=channel,
@@ -312,7 +311,7 @@ def test_full_drop_matches_per_frame_oracle(model):
     gamma = threshold_from_fa(0.2, k, l, n, n)
     cb = experiment_codebook(config)
     x = make_sync_signal(n, l)
-    corr = correlation_matrix(channel)
+    corr = correlation_matrix(channel, k)
     noise_vars = (1.0,) if model == "noise-only" else (10.0 ** 0.6, 10.0 ** 0.3)
     no_signal = np.zeros((k * n * n, 0))
     plan = _plan(config, gamma, noise_vars, no_signal if model == "noise-only" else None)
@@ -356,8 +355,7 @@ def test_full_drop_noise_has_combiner_covariance(monkeypatch):
     noise in the statistic; the noise-only full route then meets the
     closed-form false alarm."""
     k, m, n, l = 3, 8, 2, 4
-    channel = ChannelConfig(m_t=m, m_r=m, p=1, beta=(1.0,), f_d=SEC6_DOPPLER_HZ,
-                            t_s=SEC6_SLOT_INTERVAL_S, k=k)
+    channel = ChannelConfig(beta=(1.0,), f_d=SEC6_DOPPLER_HZ, t_s=SEC6_SLOT_INTERVAL_S)
     config = ExperimentConfig(
         approach="random-phase", k=k, m_t=m, m_r=m, n_t=1, n_r=n, l=l, channel=channel,
         snr_db_list=(), p_fa_target=0.1, drops=1, frames_per_drop=20000, estimator="full",
