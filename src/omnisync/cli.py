@@ -79,18 +79,9 @@ PAPER_SEC6 = {
 
 # ===== Experiment config schema =====
 
-_TOP_KEYS = {"schema", "approach", "k", "mt", "nt", "mr", "nr", "l", "channel",
-             "snr_db", "p_fa_target", "drops", "frames_per_drop", "estimator",
-             "master_seed", "zc_root"}
-_CHANNEL_KEYS = {"model", "paths", "beta", "doppler_hz", "slot_interval_s"}
 
-
-def _check_int(doc, key, errors, minimum=1):
-    val = doc.get(key)
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        errors.append(f"$.{key}: expected an integer >= {minimum}, got {val!r}")
-        return minimum
-    return val
+def _is_integer(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _is_finite_number(val) -> bool:
@@ -102,13 +93,71 @@ def _is_finite_number(val) -> bool:
         return False
 
 
-def _check_number(doc, key, errors, path="$"):
-    """The field as a float, or None after recording an error."""
-    val = doc.get(key)
-    if not _is_finite_number(val):
-        errors.append(f"{path}.{key}: expected a finite number, got {val!r}")
-        return None
-    return float(val)
+def _is_number_list(val) -> bool:
+    return isinstance(val, list) and all(_is_finite_number(v) for v in val)
+
+
+def _kind(test, expected: str, convert=None):
+    """A kind: (what is wrong with a JSON value or None, its conversion or None)."""
+    return (lambda v: None if test(v) else f"expected {expected}"), convert
+
+
+_COUNT = _kind(lambda v: _is_integer(v) and v >= 1, "an integer >= 1")
+_SEED = _kind(lambda v: _is_integer(v) and v >= 0, "an integer >= 0")
+_NUMBER = _kind(_is_finite_number, "a finite number", float)
+_NUMBERS = _kind(_is_number_list, "a list of finite numbers", lambda v: tuple(map(float, v)))
+_OBJECT = _kind(lambda v: isinstance(v, dict), "an object")
+_PROBABILITY = (lambda v: _NUMBER[0](v) or (None if 0 < v < 1 else "must be inside (0, 1)"), float)
+
+
+def _one_of(names):
+    text = " or ".join(map(repr, names)) if len(names) <= 2 else f"one of {list(names)}"
+    return _kind(lambda v: v in names, text)
+
+
+# One row per document key: (JSON key, config attribute, kind, required).
+# An optional key that is absent takes the config class's own default.
+_CHANNEL_FIELDS = (
+    ("model", "model", _one_of(CHANNEL_MODELS), True),
+    ("paths", "p", _COUNT, False),
+    ("beta", "beta", _NUMBERS, False),
+    ("doppler_hz", "f_d", _NUMBER, True),
+    ("slot_interval_s", "t_s", _NUMBER, True),
+)
+_FIELDS = (
+    ("schema", None, _one_of((1,)), True),
+    ("approach", "approach", _one_of(NAMED_DESIGNS), True),
+    ("k", "k", _COUNT, True),
+    ("mt", "m_t", _COUNT, True),
+    ("nt", "n_t", _COUNT, True),
+    ("mr", "m_r", _COUNT, True),
+    ("nr", "n_r", _COUNT, True),
+    ("l", "l", _COUNT, True),
+    ("drops", "drops", _COUNT, True),
+    ("frames_per_drop", "frames_per_drop", _COUNT, True),
+    ("master_seed", "master_seed", _SEED, True),
+    ("zc_root", "zc_root", _COUNT, False),
+    ("p_fa_target", "p_fa_target", _PROBABILITY, True),
+    ("estimator", "estimator", _one_of(ESTIMATORS), False),
+    ("snr_db", "snr_db_list", _NUMBERS, True),
+    ("channel", "channel", _OBJECT, True),
+)
+
+
+def _read_fields(doc: dict, fields, path: str, errors: list[str]) -> dict:
+    """{attribute: value} of every field of doc that passes its row; appends
+    one line to errors per unknown key and per failing field."""
+    for key in sorted(set(doc) - {row[0] for row in fields}):
+        errors.append(f"{path}.{key}: unknown field")
+    values = {}
+    for key, attr, (problem_of, convert), required in fields:
+        if key in doc or required:
+            val = doc.get(key)
+            if problem := problem_of(val):
+                errors.append(f"{path}.{key}: {problem}, got {val!r}")
+            elif attr:
+                values[attr] = convert(val) if convert else val
+    return values
 
 
 def experiment_config_from_doc(doc: dict) -> ExperimentConfig:
@@ -117,86 +166,36 @@ def experiment_config_from_doc(doc: dict) -> ExperimentConfig:
     Raises ValueError listing every schema violation, one per line, each
     prefixed with the JSON path of the offending field.
     """
-    errors: list[str] = []
     if not isinstance(doc, dict):
         raise ValueError("$: expected a JSON object")
-    if doc.get("schema") != 1:
-        errors.append(f"$.schema: expected 1, got {doc.get('schema')!r}")
-    for key in sorted(set(doc) - _TOP_KEYS):
-        errors.append(f"$.{key}: unknown field")
-
-    approach = doc.get("approach")
-    if approach not in NAMED_DESIGNS:
-        errors.append(f"$.approach: expected one of {list(NAMED_DESIGNS)}, got {approach!r}")
-    k = _check_int(doc, "k", errors)
-    mt = _check_int(doc, "mt", errors)
-    nt = _check_int(doc, "nt", errors)
-    mr = _check_int(doc, "mr", errors)
-    nr = _check_int(doc, "nr", errors)
-    l = _check_int(doc, "l", errors)
-    drops = _check_int(doc, "drops", errors)
-    frames = _check_int(doc, "frames_per_drop", errors)
-    master_seed = _check_int(doc, "master_seed", errors, minimum=0)
-    zc_root = doc.get("zc_root", 1)
-    if not isinstance(zc_root, int) or isinstance(zc_root, bool) or zc_root < 1:
-        errors.append(f"$.zc_root: expected an integer >= 1, got {zc_root!r}")
-        zc_root = 1
-
-    pfa = _check_number(doc, "p_fa_target", errors)
-    if pfa is not None and not 0.0 < pfa < 1.0:
-        errors.append(f"$.p_fa_target: must be inside (0, 1), got {doc.get('p_fa_target')!r}")
-    estimator = doc.get("estimator", "reduced")
-    if estimator not in ESTIMATORS:
-        errors.append(f"$.estimator: expected {' or '.join(map(repr, ESTIMATORS))}, "
-                      f"got {estimator!r}")
-        estimator = "reduced"
-    snr = doc.get("snr_db")
-    if not isinstance(snr, list) or not all(_is_finite_number(s) for s in snr):
-        errors.append(f"$.snr_db: expected a list of finite numbers, got {snr!r}")
-        snr = []
-
-    chan_doc = doc.get("channel")
-    channel = None
-    if not isinstance(chan_doc, dict):
-        errors.append(f"$.channel: expected an object, got {chan_doc!r}")
-    else:
-        for key in sorted(set(chan_doc) - _CHANNEL_KEYS):
-            errors.append(f"$.channel.{key}: unknown field")
-        model = chan_doc.get("model")
-        if model not in CHANNEL_MODELS:
-            errors.append(f"$.channel.model: expected {' or '.join(map(repr, CHANNEL_MODELS))}, "
-                          f"got {model!r}")
-            model = "geometric"
-        paths = chan_doc.get("paths", 1)
-        if not isinstance(paths, int) or isinstance(paths, bool) or paths < 1:
-            errors.append(f"$.channel.paths: expected an integer >= 1, got {paths!r}")
-            paths = 1
-        beta = chan_doc.get("beta")
-        if beta is None:
-            beta = list(uniform_gains(paths))
-        if (not isinstance(beta, list) or len(beta) != paths
-                or not all(_is_finite_number(b) for b in beta)):
-            errors.append(
-                f"$.channel.beta: expected a list of {paths} finite numbers, got {beta!r}")
-            beta = list(uniform_gains(paths))
-        doppler = _check_number(chan_doc, "doppler_hz", errors, path="$.channel")
-        slot_interval = _check_number(chan_doc, "slot_interval_s", errors, path="$.channel")
-        if not errors:
-            try:
-                channel = ChannelConfig(beta=tuple(float(b) for b in beta), f_d=doppler,
-                                        t_s=slot_interval, model=model)
-            except ValueError as exc:
-                errors.append(f"$.channel: {exc}")
+    errors: list[str] = []
+    values = _read_fields(doc, _FIELDS, "$", errors)
+    channel = (_read_fields(doc["channel"], _CHANNEL_FIELDS, "$.channel", errors)
+               if "channel" in values else {})
+    paths = channel.pop("p", 1)
+    if len(channel.setdefault("beta", uniform_gains(paths))) != paths:
+        errors.append(f"$.channel.beta: expected a list of {paths} finite numbers, "
+                      f"got {doc['channel']['beta']!r}")
     if errors:
         raise ValueError("\n".join(errors))
     try:
-        return ExperimentConfig(
-            approach=approach, k=k, m_t=mt, m_r=mr, n_t=nt, n_r=nr, l=l, channel=channel,
-            snr_db_list=tuple(float(s) for s in snr), p_fa_target=pfa, drops=drops,
-            frames_per_drop=frames, estimator=estimator, master_seed=master_seed,
-            zc_root=zc_root)
+        values["channel"] = ChannelConfig(**channel)
+    except ValueError as exc:
+        raise ValueError(f"$.channel: {exc}") from exc
+    try:
+        return ExperimentConfig(**values)
     except ValueError as exc:
         raise ValueError(f"$: {exc}") from exc
+
+
+def config_to_doc(config: ExperimentConfig) -> dict:
+    """The document of config with every field filled in: the parser's inverse."""
+    def fields_doc(obj, fields):
+        values = {key: getattr(obj, attr) for key, attr, _, _ in fields if attr}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+
+    return {"schema": 1, **fields_doc(config, _FIELDS),
+            "channel": fields_doc(config.channel, _CHANNEL_FIELDS)}
 
 
 # ===== Commands =====
@@ -258,14 +257,14 @@ def _cmd_threshold(args) -> int:
 
 def _number_list(doc: dict, key: str) -> list[float]:
     value = doc[key]
-    if not isinstance(value, list) or not all(_is_finite_number(v) for v in value):
+    if not _is_number_list(value):
         raise ValueError(f"analytic config field {key!r}: expected a list of finite numbers")
     return [float(v) for v in value]
 
 
 def _int_field(doc: dict, key: str) -> int:
     value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ValueError(f"analytic config field {key!r}: expected an integer, got {value!r}")
     return value
 
@@ -326,16 +325,16 @@ def _cmd_analytic(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.config == "paper-sec6":
-        doc = json.loads(json.dumps(PAPER_SEC6))
+        doc = PAPER_SEC6
         source = "paper-sec6"
     else:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         source = args.config
     env_seed = os.environ.get("OMNISYNC_SEED")
-    if env_seed is not None:
+    if env_seed is not None and isinstance(doc, dict):
         try:
-            doc["master_seed"] = int(env_seed)
+            doc = dict(doc, master_seed=int(env_seed))
         except ValueError:
             raise ValueError(f"OMNISYNC_SEED must be an integer, got {env_seed!r}") from None
     config = experiment_config_from_doc(doc)
@@ -343,7 +342,7 @@ def _cmd_simulate(args) -> int:
     manifest = {
         "schema": 1,
         "source": source,
-        "resolved_config": doc,
+        "resolved_config": config_to_doc(config),
         "gamma": gamma,
         "workers": args.workers,
         "package_version": __version__,

@@ -154,8 +154,6 @@ def section6_schedule(m: int, n: int, k: int) -> SlotSchedule:
         raise ValueError(f"stream count must be even with 2 <= n <= m, got n={n}, m={m}")
     half = m // 2
     per_slot = n // 2
-    if per_slot > half:
-        raise ValueError("not enough column pairs for the requested stream count")
     slots = []
     for slot in range(k):
         slots.append(tuple((slot * per_slot + j) % half + 1 for j in range(per_slot)))

@@ -63,14 +63,16 @@ def glrt_statistic(y: np.ndarray, x: np.ndarray, f) -> np.ndarray:
 def threshold_from_fa(p_fa_target: float, k: int, l: int, n_r: int, n_t: int) -> float:
     """Threshold gamma whose closed-form false alarm equals p_fa_target.
 
-    Bisection on the strictly decreasing false-alarm law; the returned gamma
-    reproduces the target within 1e-12.
+    Bisection on the strictly decreasing law until the bracket is 1e-16 wide or holds no
+    double; gamma meets the target within max(1e-12, n*2**-52) relative, n = K*L*N_r - 1.
     """
     if not 0.0 < p_fa_target < 1.0:
         raise ValueError("false-alarm target must be inside (0, 1)")
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if fa_closed_form(mid, k, l, n_r, n_t) > p_fa_target:
             lo = mid
         else:
@@ -79,7 +81,8 @@ def threshold_from_fa(p_fa_target: float, k: int, l: int, n_r: int, n_t: int) ->
             break
     gamma = 0.5 * (lo + hi)
     achieved = fa_closed_form(gamma, k, l, n_r, n_t)
-    if abs(achieved - p_fa_target) > 1e-12 * max(1.0, p_fa_target):
+    tol = max(1e-12, (k * l * n_r - 1) * 2.0 ** -52)
+    if abs(achieved - p_fa_target) > tol * p_fa_target:
         raise ArithmeticError(
             f"bisection failed to meet the false-alarm target: {achieved!r} vs {p_fa_target!r}")
     return gamma

@@ -12,7 +12,7 @@ import pytest
 import omnisync
 from omnisync.analysis import fa_closed_form
 from omnisync.channel import ChannelConfig
-from omnisync.cli import experiment_config_from_doc, main
+from omnisync.cli import PAPER_SEC6, config_to_doc, experiment_config_from_doc, main
 from omnisync.detector import threshold_from_fa
 from omnisync.montecarlo import ExperimentConfig
 
@@ -277,6 +277,50 @@ def test_experiment_config_from_doc_maps_every_field():
     assert experiment_config_from_doc(doc) == want
 
 
+# The document of test_experiment_config_from_doc_maps_every_field.
+EVERY_FIELD_DOC = {
+    "schema": 1, "approach": "random-phase", "k": 3, "mt": 8, "nt": 1, "mr": 4, "nr": 2, "l": 16,
+    "channel": {"model": "iid", "paths": 2, "beta": [0.25, 0.75], "doppler_hz": 100.0,
+                "slot_interval_s": 0.001},
+    "snr_db": [-4, 2.5], "p_fa_target": 0.05, "drops": 7, "frames_per_drop": 11,
+    "estimator": "full", "master_seed": 9, "zc_root": 2}
+
+
+@pytest.mark.parametrize("source", ["paper-sec6", "write_config", "every-field"])
+def test_config_doc_round_trip(tmp_path, source):
+    """doc -> config -> doc fills in only the defaults the document left out,
+    and config -> doc -> config gives the config back."""
+    if source == "write_config":
+        doc = write_config(tmp_path / "exp.json")
+    else:
+        doc = {"paper-sec6": PAPER_SEC6, "every-field": EVERY_FIELD_DOC}[source]
+    config = experiment_config_from_doc(doc)
+    resolved = config_to_doc(config)
+    assert resolved == {"zc_root": 1, **doc}
+    assert json.loads(json.dumps(resolved)) == resolved
+    assert experiment_config_from_doc(resolved) == config
+
+
+def test_simulate_manifest_resolves_defaults(tmp_path):
+    """The manifest holds the config that ran: keys the document left out
+    appear with their defaults, and every SNR point as a float."""
+    doc = {"schema": 1, "approach": "omni-golay", "k": 1, "mt": 16, "nt": 2, "mr": 4, "nr": 2,
+           "l": 8, "channel": {"model": "iid", "doppler_hz": 0.0, "slot_interval_s": 0.0005},
+           "snr_db": [0], "p_fa_target": 0.01, "drops": 5, "frames_per_drop": 200,
+           "master_seed": 3}
+    config_path = tmp_path / "minimal.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run.csv"
+    assert run_cli("simulate", "--config", str(config_path), "--out", str(out),
+                   "--dry-run") == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text(encoding="utf-8"))
+    resolved = manifest["resolved_config"]
+    assert resolved["estimator"] == "reduced" and resolved["zc_root"] == 1
+    assert resolved["channel"]["paths"] == 1 and resolved["channel"]["beta"] == [1.0]
+    assert resolved["snr_db"] == [0.0] and isinstance(resolved["snr_db"][0], float)
+    assert experiment_config_from_doc(resolved) == experiment_config_from_doc(doc)
+
+
 def test_simulate_writes_rows_and_manifest(tmp_path):
     config_path = tmp_path / "exp.json"
     write_config(config_path)
@@ -302,6 +346,15 @@ def test_simulate_env_seed_override(tmp_path, monkeypatch):
     assert read_csv_rows(out)[0]["seed"] == "9"
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text(encoding="utf-8"))
     assert manifest["resolved_config"]["master_seed"] == 9
+
+
+def test_simulate_env_seed_with_non_object_config(tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "list.json"
+    config_path.write_text("[]", encoding="utf-8")
+    monkeypatch.setenv("OMNISYNC_SEED", "9")
+    assert run_cli("simulate", "--config", str(config_path),
+                   "--out", str(tmp_path / "run.csv")) == 1
+    assert "$: expected a JSON object" in capsys.readouterr().err
 
 
 def test_simulate_env_seed_must_be_integer(tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from omnisync import detector
 from omnisync.analysis import build_R_iid, fa_closed_form
 from omnisync.channel import (
     SEC6_DOPPLER_HZ,
@@ -273,6 +274,37 @@ def test_threshold_rejects_degenerate_dimensions():
         threshold_from_fa(1e-2, 1, 2, 1, 2)  # signal dim reaches observation dim
     with pytest.raises(ValueError):
         threshold_from_fa(0.0, 1, 64, 2, 2)
+
+
+def test_threshold_bisection_stops_when_the_bracket_stalls(monkeypatch):
+    """Above 0.5 adjacent doubles are 1.1e-16 apart, so the bracket never
+    narrows to 1e-16; the bisection stops once no double lies inside it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fa_closed_form(*args)
+
+    monkeypatch.setattr(detector, "fa_closed_form", counted)
+    assert repr(threshold_from_fa(1e-2, 1, 8, 2, 2)) == "0.5285144348537301"
+    assert len(calls) <= 60
+
+
+def test_threshold_guard_is_relative(monkeypatch):
+    """A law that jumps across a 1e-13 target, missing it by 1e-11 relative,
+    is within 1e-12 absolute but must not pass calibration. The law's rounding
+    grows with n = K*L*N_r - 1, so past n = 4503 the guard is n*2**-52
+    relative: a 2e-12 miss passes at n = 16383 but not at n = 15."""
+    def stepped(target, miss):
+        return lambda gamma, *dims: target * (1 + miss if gamma < 0.5 else 1 - miss)
+
+    monkeypatch.setattr(detector, "fa_closed_form", stepped(1e-13, 1e-11))
+    with pytest.raises(ArithmeticError):
+        threshold_from_fa(1e-13, 1, 8, 2, 2)
+    monkeypatch.setattr(detector, "fa_closed_form", stepped(1e-6, 2e-12))
+    assert threshold_from_fa(1e-6, 16, 256, 4, 4) == 0.5
+    with pytest.raises(ArithmeticError):
+        threshold_from_fa(1e-6, 1, 8, 2, 2)
 
 
 def test_false_alarm_rate_matches_closed_form():
